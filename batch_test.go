@@ -474,31 +474,3 @@ func TestTuneTotalIPCThroughEngine(t *testing.T) {
 		t.Errorf("cancelled TuneTotalIPC returned %v", err)
 	}
 }
-
-// TestDeprecatedWrappersStillWork: the v1 surface measures identically to
-// the v2 path it wraps.
-func TestDeprecatedWrappersStillWork(t *testing.T) {
-	s := batchSystem()
-	viaOld, err := s.MeasureMicroPair("cpu_int", "ldint_l1", High, Medium)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaNew, err := s.Measure(context.Background(), Spec{A: "cpu_int", B: "ldint_l1", PA: High, PB: Medium})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if viaOld != viaNew {
-		t.Error("MeasureMicroPair differs from the v2 Measure path")
-	}
-
-	if _, err := s.MeasureSpecPair("h264ref", "mcf", Medium, Medium); err != nil {
-		t.Errorf("MeasureSpecPair: %v", err)
-	}
-	s.SetWorkers(2) // deprecated setters must keep functioning
-	s.SetPrivilege(Supervisor)
-	var bs BatchSpec // deprecated alias of Spec
-	bs.A = "cpu_int"
-	if _, err := s.Measure(context.Background(), bs); err != nil {
-		t.Errorf("BatchSpec alias broken: %v", err)
-	}
-}

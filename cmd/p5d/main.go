@@ -1,5 +1,5 @@
 // Command p5d is the long-running measurement daemon: many concurrent
-// clients (p5exp -submit, power5prio.WithService, or raw p5queue/v3
+// clients (p5exp/p5sim -submit, power5prio.WithService, or raw p5queue/v3
 // HTTP) stream job submissions to one shared engine, with admission
 // control, weighted round-robin fairness across client IDs, and
 // cross-client deduplication — identical jobs from different clients
@@ -10,16 +10,15 @@
 //
 //	p5d                                         # serve on 127.0.0.1:7551, local pool
 //	p5d -cache-dir /var/cache/p5 -workers 8     # persistent cache, bounded pool
-//	p5d -remote host1:7550,host2:7550           # execute on a p5worker fleet
 //	p5d -fleet -cache-dir /mnt/shared/p5cache   # start empty; workers register
 //
 // Execution modes: by default jobs simulate on an in-process pool.
-// With -remote, jobs fan out across the given p5worker fleet (the
-// circuit breaker keeps the daemon serving while individual workers
-// die and rejoin). With -fleet (or -remote), workers may also register
-// themselves at runtime via POST /v1/register — p5worker -register
-// does this and heartbeats it — so the fleet grows without restarting
-// the daemon.
+// With -fleet, jobs fan out across a p5worker fleet that workers join
+// at runtime via POST /v1/register — p5worker -register does this and
+// heartbeats it — so the fleet grows without restarting the daemon.
+// The circuit breaker keeps the daemon serving while individual
+// workers die and rejoin, and the daemon requeues the jobs a failed
+// worker dropped.
 //
 // Every daemon carries the tier-0 analytical estimator: a submission
 // with an estimate spec (service.WithEstimate client-side) is answered
@@ -62,8 +61,7 @@ import (
 func main() {
 	var (
 		listen      = flag.String("listen", "127.0.0.1:7551", "address to serve the p5queue protocol on (host:port; port 0 picks a free port)")
-		workers     = flag.Int("workers", 0, "local simulation pool size when not executing remotely (0 = all CPU cores)")
-		remotes     = flag.String("remote", "", "execute on a p5worker fleet at host:port[,host:port...] (more workers may register at runtime)")
+		workers     = flag.Int("workers", 0, "local simulation pool size without -fleet (0 = all CPU cores)")
 		fleetMode   = flag.Bool("fleet", false, "start with an empty worker fleet and rely on runtime registration (POST /v1/register)")
 		maxQueue    = flag.Int("max-queue", 1024, "admission bound: queued jobs beyond this are rejected with 429")
 		weight      = flag.Int("weight", 8, "jobs one tenant contributes per round-robin turn")
@@ -99,16 +97,12 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	// Execution backend: a worker fleet when -remote/-fleet asked for
-	// one (sharable, breaker-protected, grown by registration),
-	// otherwise the in-process pool. The daemon's cache tiers sit in
-	// front either way.
+	// Execution backend: a worker fleet with -fleet (breaker-protected,
+	// grown by registration), otherwise the in-process pool. The
+	// daemon's cache tiers sit in front either way.
 	var fleet *remote.ShardedBackend
 	engOpts := []engine.Option{engine.WithStore(store)}
-	switch {
-	case *remotes != "":
-		fleet = cmdutil.RemoteBackend(ctx, "p5d", *remotes)
-	case *fleetMode:
+	if *fleetMode {
 		fleet = remote.NewDynamic()
 	}
 	var backend engine.Backend

@@ -9,7 +9,6 @@
 //	p5exp -exp fig2 -csv         # machine-readable output
 //	p5exp -exp all -quick -cache-dir ~/.cache/p5exp   # persist results
 //	p5exp -cache-dir ~/.cache/p5exp -cache stats      # inspect the cache
-//	p5exp -exp all -remote host1:7550,host2:7550      # shard across workers
 //	p5exp -exp all -quick -submit daemon:7551         # run through a p5d daemon
 //	p5exp -exp fig5 -estimate default    # tier-0 analytical answers within tolerance
 //	p5exp -exp calib -quick              # model-vs-simulator residual gate
@@ -20,12 +19,12 @@
 // -cache flag administers the store: stats, verify (checksum-scan and
 // drop corrupt entries) or clear.
 //
-// With -remote, simulation jobs are sharded across p5worker processes
-// (results are byte-identical to a local run — see README "Distributed
-// runs"); the engine stats line then reports remote jobs, retries and
-// worker errors. With -submit, jobs go to a shared p5d daemon instead:
-// concurrent clients submitting the same jobs get them simulated once,
-// and the daemon's cache answers repeat questions for everyone.
+// With -submit, jobs go to a shared p5d daemon, which runs them on the
+// p5worker fleet registered with it (results are byte-identical to a
+// local run — see README "Distributed runs"): concurrent clients
+// submitting the same jobs get them simulated once, the daemon's cache
+// answers repeat questions for everyone, and the engine stats line
+// reports the remote jobs, retries and daemon errors.
 //
 // Ctrl-C cancels the sweep: whatever was measured before the interrupt
 // is rendered (unmeasured cells as zeros), and the completed work stays
@@ -58,17 +57,12 @@ func main() {
 		workers = flag.Int("workers", 0, "simulation worker pool size (0 = all CPU cores)")
 		cacheOp = flag.String("cache", "", "cache administration with -cache-dir: stats|verify|clear (runs no experiment)")
 		reqWarm = flag.Bool("require-warm", false, "with -cache-dir: exit non-zero if anything was simulated or missed the disk cache")
-		remotes = flag.String("remote", "", "shard simulation across p5worker processes at host:port[,host:port...] instead of running locally")
 		submit  = flag.String("submit", "", "submit simulation jobs to a p5d daemon at host:port instead of running locally (shares its queue, cache and fleet with other clients)")
 		client  = flag.String("client", "", "tenant name for -submit fair scheduling (default: a per-process id)")
 		est     = flag.String("estimate", "off", cmdutil.EstimateFlagHelp)
 		common  = cmdutil.AddCommonFlags("p5exp", flag.CommandLine)
 	)
 	flag.Parse()
-	if *remotes != "" && *submit != "" {
-		fmt.Fprintln(os.Stderr, "p5exp: -remote and -submit are mutually exclusive (a daemon owns its own fleet)")
-		os.Exit(2)
-	}
 	estMode := cmdutil.ParseEstimate("p5exp", *est)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -82,17 +76,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "p5exp: -require-warm needs -cache-dir")
 		os.Exit(2)
 	}
-	// Execution backend: the in-process pool, a health-checked worker
-	// fleet with -remote, or a shared p5d daemon with -submit. The
-	// engine's cache tiers (including -cache-dir) stay local either
-	// way, in front of the backend — with -submit the daemon adds its
-	// own shared tiers behind them.
-	var engOpts []engine.Option
-	engOpts = append(engOpts, engine.WithStore(store))
-	switch {
-	case *remotes != "":
-		engOpts = append(engOpts, engine.WithBackend(cmdutil.RemoteBackend(ctx, "p5exp", *remotes)))
-	case *submit != "":
+	// Execution backend: the in-process pool, or a shared p5d daemon
+	// with -submit. The engine's cache tiers (including -cache-dir)
+	// stay local either way, in front of the backend — with -submit the
+	// daemon adds its own shared tiers behind them.
+	engOpts := []engine.Option{engine.WithStore(store)}
+	if *submit != "" {
 		engOpts = append(engOpts, engine.WithBackend(cmdutil.ServiceBackend(ctx, "p5exp", *submit, *client)))
 	}
 	// Started after the administrative early exits above, so a live
@@ -106,7 +95,7 @@ func main() {
 	h.Engine = engine.NewWith(*workers, nil, engOpts...)
 	// Tier 0 sits in front of every cache tier and the backend alike:
 	// with -estimate, jobs the model can answer within tolerance never
-	// reach simulation (local, -remote or -submit). Off — or a zero
+	// reach simulation (local or -submit). Off — or a zero
 	// tolerance — leaves every experiment byte-identical to a run
 	// without the flag.
 	if estMode.Enabled {

@@ -9,7 +9,7 @@
 //	p5sim -a cpu_int -b mcf            # mixed-family pair
 //	p5sim -a mcf -single
 //	p5sim -list
-//	p5sim -a mcf -b equake -sweep -remote host1:7550,host2:7550
+//	p5sim -a mcf -b equake -sweep -submit daemon:7551
 //
 // Ctrl-C during -sweep prints the settings measured so far.
 package main
@@ -51,7 +51,7 @@ func run() int {
 		list    = flag.Bool("list", false, "list available workloads and exit")
 		showPow = flag.Bool("power", false, "estimate core power with the activity model")
 		disasm  = flag.Bool("disasm", false, "print the first workload's loop body and exit")
-		remotes = flag.String("remote", "", "run measurements on p5worker processes at host:port[,host:port...] instead of locally")
+		submit  = flag.String("submit", "", "submit measurements to a p5d daemon at host:port instead of running locally")
 		est     = flag.String("estimate", "off", cmdutil.EstimateFlagHelp)
 		common  = cmdutil.AddCommonFlags("p5sim", flag.CommandLine)
 	)
@@ -80,10 +80,10 @@ func run() int {
 		// repeated -sweep — is then served from disk without simulating.
 		sysOpts = append(sysOpts, power5prio.WithCache(store))
 	}
-	if *remotes != "" {
-		// Built before profiling starts: an unreachable fleet exits here,
-		// and os.Exit must not abandon a live CPU profile.
-		sysOpts = append(sysOpts, power5prio.WithBackend(cmdutil.RemoteBackend(ctx, "p5sim", *remotes)))
+	if *submit != "" {
+		// Built before profiling starts: an unreachable daemon exits
+		// here, and os.Exit must not abandon a live CPU profile.
+		sysOpts = append(sysOpts, power5prio.WithBackend(cmdutil.ServiceBackend(ctx, "p5sim", *submit, "")))
 	}
 	defer common.StartProfiles()()
 	sys := power5prio.New(power5prio.DefaultConfig(), sysOpts...)

@@ -1,7 +1,7 @@
 // Command p5worker serves the distributed execution protocol: it runs
-// simulation jobs posted by p5exp/p5sim -remote (or any program using a
-// remote backend) on a local worker pool, with the same two cache tiers
-// a local run has. Point a fleet's workers — and the client — at one
+// simulation jobs posted by the p5d daemon whose fleet it joined with
+// -register on a local worker pool, with the same two cache tiers a
+// local run has. Point a fleet's workers — and the daemon — at one
 // shared -cache-dir and a warm cache short-circuits remote simulation
 // entirely.
 //
@@ -23,7 +23,7 @@
 //
 // The worker prints its bound address on startup and one line per batch
 // served. SIGINT/SIGTERM shut it down gracefully (in-flight batches
-// finish). Results are bit-identical to local execution provided client
+// finish). Results are bit-identical to local execution provided daemon
 // and workers run the same build; a version or schema skew is detected
 // per request and fails loudly instead of measuring the wrong thing.
 package main

@@ -1,6 +1,6 @@
 // Package cmdutil holds the flag plumbing shared by the p5* commands —
 // the persistent cache directory, the fast-forward switch, CPU/heap
-// profiling and the -remote worker-fleet wiring — so every command
+// profiling and the -submit daemon wiring — so every command
 // (including new ones like p5worker) spells them identically and gets
 // them from one place. Commands are expected to call the returned stop
 // function on every exit path that matters (os.Exit skips deferred
@@ -15,14 +15,12 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strconv"
-	"strings"
 	"time"
 
 	"power5prio/internal/analytic"
 	"power5prio/internal/cachestore"
 	"power5prio/internal/engine"
 	"power5prio/internal/fame"
-	"power5prio/internal/remote"
 	"power5prio/internal/service"
 )
 
@@ -73,69 +71,15 @@ func (c *Common) StartProfiles() func() {
 	return StartProfiles(c.prog, c.CPUProfile, c.MemProfile)
 }
 
-// ParseRemote splits a -remote value ("host:port[,host:port...]", or
-// full http:// URLs) into worker addresses, exiting with code 2 when
-// none remain.
-func ParseRemote(prog, spec string) []string {
-	var addrs []string
-	for _, p := range strings.Split(spec, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			addrs = append(addrs, p)
-		}
-	}
-	if len(addrs) == 0 {
-		fmt.Fprintf(os.Stderr, "%s: -remote needs at least one worker address (host:port[,host:port...])\n", prog)
-		os.Exit(2)
-	}
-	return addrs
-}
-
-// healthWait bounds how long RemoteBackend waits for workers to come
-// up — long enough for a fleet started moments earlier (e.g. by a CI
-// script) to bind its sockets, short enough that a typo fails fast.
+// healthWait bounds how long ServiceBackend waits for the daemon to
+// come up — long enough for a daemon started moments earlier (e.g. by
+// a CI script) to bind its socket, short enough that a typo fails fast.
 const healthWait = 5 * time.Second
 
-// RemoteBackend builds the sharded fleet backend for a -remote value
-// and health-checks the fleet before any job is risked, retrying
-// briefly so a worker still binding its socket is not declared dead.
-// It waits for the *full* fleet within the grace window, but a fleet
-// that never completes starts degraded rather than failing: the
-// circuit breaker exists precisely so the survivors serve the sweep
-// while dead workers are excluded (and rejoin via re-probe). Each dead
-// worker is reported as a warning; only a fleet with no reachable
-// worker at all exits with an error.
-func RemoteBackend(ctx context.Context, prog, spec string) *remote.ShardedBackend {
-	addrs := ParseRemote(prog, spec)
-	b := remote.New(addrs...)
-	deadline := time.Now().Add(healthWait)
-	for {
-		alive, down := b.FleetHealth(ctx)
-		if alive == len(addrs) {
-			return b
-		}
-		if time.Now().After(deadline) || ctx.Err() != nil {
-			if alive == 0 {
-				fmt.Fprintf(os.Stderr, "%s: no worker reachable (%d probed):\n", prog, len(addrs))
-				for _, err := range down {
-					fmt.Fprintf(os.Stderr, "%s:   %v\n", prog, err)
-				}
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "%s: warning: fleet degraded, %d of %d workers reachable; continuing (dead workers rejoin via re-probe):\n",
-				prog, alive, len(addrs))
-			for _, err := range down {
-				fmt.Fprintf(os.Stderr, "%s:   %v\n", prog, err)
-			}
-			return b
-		}
-		time.Sleep(200 * time.Millisecond)
-	}
-}
-
 // ServiceBackend builds the client backend for a -submit value (a p5d
-// daemon address), health-checking the daemon with the same grace
-// window RemoteBackend gives a fleet. clientID names the tenant for
-// the daemon's fair scheduling ("" = a per-process default).
+// daemon address), health-checking the daemon within the healthWait
+// grace window and exiting when it never answers. clientID names the
+// tenant for the daemon's fair scheduling ("" = a per-process default).
 func ServiceBackend(ctx context.Context, prog, addr, clientID string) *service.Client {
 	c := service.NewClient(addr, service.WithClientID(clientID))
 	deadline := time.Now().Add(healthWait)

@@ -51,24 +51,17 @@ type ProgressBackend interface {
 	RunProgress(ctx context.Context, jobs []Job, done func(i int, r Result)) ([]Result, error)
 }
 
-// CapacitySetter is optionally implemented by backends whose
-// concurrency bound can be changed after construction (Engine.SetWorkers
-// forwards to it).
-type CapacitySetter interface {
-	SetCapacity(n int)
-}
-
 // RemoteStats counts work done through remote backends; see Stats.
 type RemoteStats struct {
 	// Jobs executed by remote workers (a worker serving a job from its
 	// own warm cache still counts: the job went over the wire).
 	Jobs int
-	// Retries are jobs re-dispatched to another worker after the one
-	// holding them failed.
+	// Retries are jobs resubmitted to a p5d daemon after backpressure or
+	// a dropped, drained or stalled stream.
 	Retries int
 	// WorkerErrors are worker-level failures observed (unreachable,
-	// bad protocol, non-2xx responses) — each typically excludes the
-	// worker for the rest of its batch.
+	// bad protocol, non-2xx responses) — on a fleet, each opens the
+	// worker's circuit breaker.
 	WorkerErrors int
 }
 
@@ -88,10 +81,8 @@ type RemoteStatser interface {
 // process, or concurrent requests on a p5worker), at most Capacity
 // simulations execute at once.
 type LocalBackend struct {
-	mu      sync.Mutex
-	workers int
-	sem     chan struct{} // capacity tokens, shared by every Run call
-	reg     *workload.Registry
+	sem chan struct{} // capacity tokens, shared by every Run call
+	reg *workload.Registry
 }
 
 // NewLocalBackend returns a local pool bounded to workers goroutines
@@ -104,7 +95,7 @@ func NewLocalBackend(workers int, reg *workload.Registry) *LocalBackend {
 	if reg == nil {
 		reg = workload.NewRegistry()
 	}
-	return &LocalBackend{workers: workers, sem: make(chan struct{}, workers), reg: reg}
+	return &LocalBackend{sem: make(chan struct{}, workers), reg: reg}
 }
 
 // Name identifies the backend.
@@ -114,23 +105,7 @@ func (b *LocalBackend) Name() string { return "local" }
 func (b *LocalBackend) Registry() *workload.Registry { return b.reg }
 
 // Capacity returns the worker-pool bound.
-func (b *LocalBackend) Capacity() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.workers
-}
-
-// SetCapacity changes the pool bound for subsequent batches (n <= 0
-// selects GOMAXPROCS); batches already running keep their old bound.
-func (b *LocalBackend) SetCapacity(n int) {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	b.mu.Lock()
-	b.workers = n
-	b.sem = make(chan struct{}, n)
-	b.mu.Unlock()
-}
+func (b *LocalBackend) Capacity() int { return cap(b.sem) }
 
 // Healthy always succeeds: the local pool needs nothing external.
 func (b *LocalBackend) Healthy(context.Context) error { return nil }
@@ -153,9 +128,6 @@ func (b *LocalBackend) RunProgress(ctx context.Context, jobs []Job, done func(i 
 		ctx = context.Background()
 	}
 	out := make([]Result, len(jobs))
-	b.mu.Lock()
-	sem := b.sem
-	b.mu.Unlock()
 	var doneMu sync.Mutex
 	finish := func(k int, r Result) {
 		out[k] = r
@@ -174,14 +146,14 @@ dispatch:
 			break
 		}
 		select {
-		case sem <- struct{}{}:
+		case b.sem <- struct{}{}:
 		case <-ctx.Done():
 			break dispatch
 		}
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			defer func() { <-sem }()
+			defer func() { <-b.sem }()
 			pair, err := Execute(b.reg, jobs[k])
 			completed[k] = true
 			finish(k, Result{Job: jobs[k], Pair: pair, Err: err})

@@ -76,12 +76,8 @@ func TestWithBackendPlain(t *testing.T) {
 	if !strings.Contains(st.String(), "remote: 5 jobs") {
 		t.Errorf("Stats.String() = %q, want remote counters", st.String())
 	}
-
-	// SetWorkers is a no-op on a backend without SetCapacity — and must
-	// not panic.
-	e.SetWorkers(8)
 	if e.Workers() != 2 {
-		t.Errorf("SetWorkers changed a fixed-capacity backend to %d", e.Workers())
+		t.Errorf("Workers() = %d, want the backend's capacity 2", e.Workers())
 	}
 }
 
@@ -113,7 +109,7 @@ func TestBackendFailure(t *testing.T) {
 }
 
 // TestLocalBackendDirect: the extracted pool honours the Backend
-// contract directly — results in order, Healthy, capacity setter.
+// contract directly — results in order, Healthy, default capacity.
 func TestLocalBackendDirect(t *testing.T) {
 	b := NewLocalBackend(3, nil)
 	if b.Name() != "local" || b.Capacity() != 3 {
@@ -122,9 +118,8 @@ func TestLocalBackendDirect(t *testing.T) {
 	if err := b.Healthy(nil); err != nil {
 		t.Fatalf("Healthy: %v", err)
 	}
-	b.SetCapacity(0)
-	if b.Capacity() < 1 {
-		t.Errorf("SetCapacity(0) left capacity %d", b.Capacity())
+	if c := NewLocalBackend(0, nil).Capacity(); c < 1 {
+		t.Errorf("NewLocalBackend(0) capacity %d, want GOMAXPROCS", c)
 	}
 
 	jobs := testBatch(t)[:3]

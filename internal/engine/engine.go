@@ -280,22 +280,6 @@ func (e *Engine) Backend() Backend { return e.backend }
 // Workers returns the backend's concurrency capacity.
 func (e *Engine) Workers() int { return e.backend.Capacity() }
 
-// SetWorkers changes the concurrency bound for subsequent batches when
-// the backend supports it (the local pool does) and for in-process
-// ForEach runs; the result cache is retained. n <= 0 selects
-// GOMAXPROCS.
-func (e *Engine) SetWorkers(n int) {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	e.mu.Lock()
-	e.localWorkers = n
-	e.mu.Unlock()
-	if cs, ok := e.backend.(CapacitySetter); ok {
-		cs.SetCapacity(n)
-	}
-}
-
 // Stats returns a snapshot of the lifetime counters. On an engine with
 // a remote backend, the backend's remote counters are folded in.
 func (e *Engine) Stats() Stats {
@@ -616,12 +600,7 @@ func (e *Engine) ForEach(ctx context.Context, n int, fn func(int)) error {
 	// ForEach work runs in-process regardless of the execution backend,
 	// so it is bounded by the engine's local worker count, not the
 	// backend's capacity.
-	e.mu.Lock()
-	workers := e.localWorkers
-	e.mu.Unlock()
-	if workers > n {
-		workers = n
-	}
+	workers := min(e.localWorkers, n)
 	work := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

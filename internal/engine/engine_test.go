@@ -410,31 +410,6 @@ func TestForEach(t *testing.T) {
 	}
 }
 
-// TestSetWorkers: the pool size changes, the cache survives.
-func TestSetWorkers(t *testing.T) {
-	e := New(1)
-	if e.Workers() != 1 {
-		t.Fatalf("Workers() = %d", e.Workers())
-	}
-	jobs := testBatch(t)
-	e.Run(nil, jobs)
-	sim := e.Stats().Simulated
-
-	e.SetWorkers(8)
-	if e.Workers() != 8 {
-		t.Fatalf("Workers() after SetWorkers = %d", e.Workers())
-	}
-	e.Run(nil, jobs)
-	if got := e.Stats().Simulated; got != sim {
-		t.Errorf("cache lost across SetWorkers: %d simulated, want %d", got, sim)
-	}
-
-	e.SetWorkers(0)
-	if e.Workers() < 1 {
-		t.Errorf("SetWorkers(0) left %d workers", e.Workers())
-	}
-}
-
 // TestConcurrentEngineUse: one engine, many goroutines submitting
 // overlapping batches — exercised under -race in CI.
 func TestConcurrentEngineUse(t *testing.T) {

@@ -3,7 +3,8 @@ package experiments
 import "power5prio/internal/microbench"
 
 // Paper reference values, transcribed from Boneti et al., ISCA 2008.
-// EXPERIMENTS.md compares every regenerated artifact against these.
+// `p5exp -exp table3` prints the paper-vs-measured comparison built on
+// them, and `p5exp -verify` checks the headline claims.
 
 // PaperTable3ST holds the single-thread IPCs of Table 3.
 var PaperTable3ST = map[string]float64{

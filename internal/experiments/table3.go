@@ -43,7 +43,8 @@ func (r Table3Result) Render() *report.Table {
 	return t
 }
 
-// RenderComparison produces a paper-vs-measured table for EXPERIMENTS.md.
+// RenderComparison produces the paper-vs-measured table `p5exp -exp
+// table3` prints after the measured one.
 func (r Table3Result) RenderComparison() *report.Table {
 	t := report.NewTable("Table 3 paper vs simulated",
 		"primary", "secondary", "pt_paper", "pt_sim", "tt_paper", "tt_sim")

@@ -49,7 +49,7 @@ func TestTable4ShapeAndLog(t *testing.T) {
 // iteration. The paper's optimum is (6,4) with 9.3% over (4,4); our
 // simulator enforces equation (1) exactly, which shifts the optimum to
 // (5,4) (the real machine's effective share at small differences was
-// gentler on the deprioritized thread) — see EXPERIMENTS.md.
+// gentler on the deprioritized thread) — compare `p5exp -exp table4`.
 func TestTable4PrioritizingFFTHelps(t *testing.T) {
 	r := runTable4(t)
 	base := r.Rows[1].Itr                      // (4,4)

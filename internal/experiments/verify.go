@@ -27,7 +27,8 @@ func (f Finding) String() string {
 
 // VerifyMicrobenchClaims runs a compact set of measurements and checks the
 // paper's headline micro-benchmark claims (Sections 5.1-5.3) as explicit
-// pass/fail findings. It is the machine-checkable core of EXPERIMENTS.md.
+// pass/fail findings; `p5exp -verify` prints them and exits non-zero on
+// a failure.
 // The measurements are one RunMatrix batch, so they fan out across the
 // harness engine's workers like every other experiment. A cancelled run
 // returns no findings with the context's error — a partial claim check

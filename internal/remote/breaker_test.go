@@ -97,6 +97,28 @@ func (c *fakeClock) advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
+// wantChunkSkipped checks a batch in which exactly one worker failed:
+// the batch error names it, its one chunk (Capacity 4 jobs) came back
+// Skipped with its error, and every other job completed.
+func wantChunkSkipped(t *testing.T, res []Result, err error, worker string) {
+	t.Helper()
+	if err == nil || !strings.Contains(err.Error(), worker+": boom") {
+		t.Fatalf("batch error = %v, want the %s failure", err, worker)
+	}
+	skipped := 0
+	for i, r := range res {
+		switch {
+		case r.Skipped && r.Err != nil && strings.Contains(r.Err.Error(), worker+": boom"):
+			skipped++
+		case r.Skipped || r.Err != nil:
+			t.Fatalf("job %d = %+v, want completed or skipped by %s", i, r, worker)
+		}
+	}
+	if skipped != 4 {
+		t.Fatalf("%d jobs skipped, want the failed worker's chunk of 4", skipped)
+	}
+}
+
 // dummyJobs builds placeholder jobs; scripted workers never simulate,
 // so the content only needs distinct submission indices.
 func dummyJobs(n int) []Job {
@@ -117,20 +139,14 @@ func TestBreakerDeadWorkerRejoins(t *testing.T) {
 	bad := &scriptedWorker{name: "bad", healthy: true, failRun: true, signal: gate}
 	clock := &fakeClock{t: time.Unix(1000, 0)}
 
-	s := NewSharded(good, bad)
+	s := NewDynamic(good, bad)
 	s.now = clock.now
-	s.SetReprobe(time.Minute)
+	s.reprobe = time.Minute
 
-	// Batch 1: bad fails its first chunk, the batch completes on good.
+	// Batch 1: bad fails its first chunk, which comes back skipped for
+	// the caller to retry; good completes the rest.
 	res, err := s.Run(nil, dummyJobs(8))
-	if err != nil {
-		t.Fatalf("batch 1: %v", err)
-	}
-	for i, r := range res {
-		if r.Err != nil || r.Skipped {
-			t.Fatalf("batch 1 job %d not completed: %+v", i, r)
-		}
-	}
+	wantChunkSkipped(t, res, err, "bad")
 	badRuns, _ := bad.counts()
 	if badRuns != 1 {
 		t.Fatalf("bad worker ran %d chunks in batch 1, want 1", badRuns)
@@ -171,14 +187,13 @@ func TestBreakerFailedProbeBacksOff(t *testing.T) {
 	bad := &scriptedWorker{name: "bad", healthy: false, failRun: true, signal: gate}
 	clock := &fakeClock{t: time.Unix(1000, 0)}
 
-	s := NewSharded(good, bad)
+	s := NewDynamic(good, bad)
 	s.now = clock.now
-	s.SetReprobe(time.Minute)
+	s.reprobe = time.Minute
 
 	// Batch 1: failures=1, next probe one base interval out.
-	if _, err := s.Run(nil, dummyJobs(4)); err != nil {
-		t.Fatalf("batch 1: %v", err)
-	}
+	res, err := s.Run(nil, dummyJobs(8))
+	wantChunkSkipped(t, res, err, "bad")
 
 	// +70s: past the first deadline, so one probe runs — and fails,
 	// doubling the backoff (failures=2, next probe 2m out).
@@ -221,11 +236,12 @@ func TestBreakerAllDeadForceProbe(t *testing.T) {
 	w2 := &scriptedWorker{name: "w2", healthy: true, failRun: true}
 	clock := &fakeClock{t: time.Unix(1000, 0)}
 
-	s := NewSharded(w1, w2)
+	s := NewDynamic(w1, w2)
 	s.now = clock.now
-	s.SetReprobe(time.Hour)
+	s.reprobe = time.Hour
 
-	res, err := s.Run(nil, dummyJobs(4))
+	// Two chunks: each worker takes one, fails, and opens its breaker.
+	res, err := s.Run(nil, dummyJobs(8))
 	if err == nil {
 		t.Fatal("batch against an all-failing fleet succeeded")
 	}
@@ -254,9 +270,9 @@ func TestBreakerAllDeadForceProbe(t *testing.T) {
 	// circuit-open error.
 	w1.set(false, true)
 	w2.set(false, true)
-	s2 := NewSharded(w1, w2)
+	s2 := NewDynamic(w1, w2)
 	s2.now = clock.now
-	if _, err := s2.Run(nil, dummyJobs(2)); err == nil {
+	if _, err := s2.Run(nil, dummyJobs(8)); err == nil {
 		t.Fatal("first batch against failing fleet succeeded")
 	}
 	_, err = s2.Run(nil, dummyJobs(2))
@@ -279,14 +295,13 @@ func TestBreakerCancelledProbeLeavesStateUntouched(t *testing.T) {
 	bad := &scriptedWorker{name: "bad", healthy: true, failRun: true, signal: gate}
 	clock := &fakeClock{t: time.Unix(1000, 0)}
 
-	s := NewSharded(good, bad)
+	s := NewDynamic(good, bad)
 	s.now = clock.now
-	s.SetReprobe(time.Minute)
+	s.reprobe = time.Minute
 
 	// Batch 1: bad fails and its breaker opens (failures=1).
-	if _, err := s.Run(nil, dummyJobs(8)); err != nil {
-		t.Fatalf("batch 1: %v", err)
-	}
+	res, err := s.Run(nil, dummyJobs(8))
+	wantChunkSkipped(t, res, err, "bad")
 	s.mu.Lock()
 	before := s.state[1]
 	s.mu.Unlock()
@@ -325,69 +340,23 @@ func TestBreakerCancelledProbeLeavesStateUntouched(t *testing.T) {
 	}
 }
 
-// TestHealthyDegradedFleet pins the fleet health contract: the fleet is
-// healthy while at least one worker answers (the breaker exists
-// precisely to run degraded), and unhealthy only when nobody does.
-// Before the fix one dead worker failed the whole fleet and cmdutil's
-// startup health loop never converged.
-func TestHealthyDegradedFleet(t *testing.T) {
-	good := &scriptedWorker{name: "good", healthy: true}
-	bad := &scriptedWorker{name: "bad", healthy: false}
-	s := NewSharded(good, bad)
-
-	ctx := context.Background()
-	if err := s.Healthy(ctx); err != nil {
-		t.Fatalf("fleet with one live worker reported unhealthy: %v", err)
-	}
-	alive, down := s.FleetHealth(ctx)
-	if alive != 1 || len(down) != 1 {
-		t.Fatalf("FleetHealth = (%d alive, %d down), want (1, 1)", alive, len(down))
-	}
-	if !strings.Contains(errorsJoin(down), "bad: down") {
-		t.Fatalf("down errors missing the dead worker: %v", down)
-	}
-
-	good.set(false, false)
-	if err := s.Healthy(ctx); err == nil {
-		t.Fatal("all-dead fleet reported healthy")
-	}
-
-	if err := NewDynamic().Healthy(ctx); err == nil {
-		t.Fatal("empty fleet reported healthy")
-	}
-}
-
-func errorsJoin(errs []error) string {
-	var b strings.Builder
-	for _, err := range errs {
-		b.WriteString(err.Error())
-		b.WriteString("\n")
-	}
-	return b.String()
-}
-
-// TestRequeueCapConvergesOnSkippingWorker pins the defensive-requeue
-// cap: a worker that keeps returning jobs Skipped without a
-// worker-level error must not livelock the batch. Before the fix this
-// test spun forever — the skipped jobs requeued, the same worker
-// grabbed them again, ad infinitum.
-func TestRequeueCapConvergesOnSkippingWorker(t *testing.T) {
+// TestSkippedWithoutError pins the fleet's handling of a worker that
+// answers a batch without executing it and without an error: the jobs
+// come back Skipped with a diagnostic naming the worker (never as
+// empty successes), once — the daemon's requeue owns the retry.
+func TestSkippedWithoutError(t *testing.T) {
 	w := &scriptedWorker{name: "skipper", healthy: true, skipRun: true}
-	s := NewSharded(w)
-
-	res, err := s.Run(nil, dummyJobs(3))
+	res, err := NewDynamic(w).Run(nil, dummyJobs(3))
 	if err != nil {
-		t.Fatalf("batch error = %v, want nil (per-job failures only)", err)
+		t.Fatalf("batch error = %v, want nil (the worker did not fail)", err)
 	}
 	for i, r := range res {
-		if !r.Skipped || r.Err == nil || !strings.Contains(r.Err.Error(), "requeued") {
-			t.Fatalf("job %d = %+v, want skipped with a requeue-cap diagnostic", i, r)
+		if !r.Skipped || r.Err == nil || !strings.Contains(r.Err.Error(), "skipper") {
+			t.Fatalf("job %d = %+v, want skipped with a diagnostic naming the worker", i, r)
 		}
 	}
-	// Capacity 4 covers all 3 jobs per grab: one initial run plus one
-	// per allowed requeue, then the cap fails the jobs.
-	if runs, _ := w.counts(); runs != maxRequeues+1 {
-		t.Fatalf("skipping worker ran %d chunks, want %d", runs, maxRequeues+1)
+	if runs, _ := w.counts(); runs != 1 {
+		t.Fatalf("skipping worker ran %d chunks, want 1", runs)
 	}
 }
 
@@ -400,6 +369,9 @@ func TestDynamicFleetRegistration(t *testing.T) {
 	_, err := s.Run(nil, dummyJobs(2))
 	if err == nil || !strings.Contains(err.Error(), "no workers") {
 		t.Fatalf("empty-fleet batch error = %v, want a no-workers diagnostic", err)
+	}
+	if s.Healthy(nil) == nil {
+		t.Fatal("empty fleet reported healthy")
 	}
 
 	w := &scriptedWorker{name: "w1", healthy: true}
@@ -425,6 +397,9 @@ func TestDynamicFleetRegistration(t *testing.T) {
 	if st := s.WorkerStates(); len(st) != 1 || !st[0].Excluded {
 		t.Fatalf("worker states after failure = %+v, want one excluded entry", st)
 	}
+	if s.Healthy(nil) == nil {
+		t.Fatal("fleet with every breaker open reported healthy")
+	}
 	w.set(true, false)
 	if s.AddWorker(&scriptedWorker{name: "w1", healthy: true}) {
 		t.Fatal("re-registering a known worker grew the fleet")
@@ -432,5 +407,8 @@ func TestDynamicFleetRegistration(t *testing.T) {
 	st := s.WorkerStates()
 	if len(st) != 1 || st[0].Excluded || st[0].Failures != 0 {
 		t.Fatalf("worker states after re-registration = %+v, want one closed-breaker entry", st)
+	}
+	if err := s.Healthy(nil); err != nil {
+		t.Fatalf("fleet with a closed breaker reported unhealthy: %v", err)
 	}
 }

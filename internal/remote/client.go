@@ -18,8 +18,8 @@ import (
 
 // DefaultMaxInFlight is the per-worker in-flight job limit: the largest
 // chunk of a batch a client keeps outstanding on one worker. Small
-// enough that a slow worker strands few jobs when it fails (they are
-// retried elsewhere), large enough to keep a worker's pool busy and
+// enough that a slow worker strands few jobs when it fails (the daemon
+// requeues them), large enough to keep a worker's pool busy and
 // amortize the HTTP round trip.
 const DefaultMaxInFlight = 16
 
@@ -30,46 +30,26 @@ const DefaultMaxInFlight = 16
 type HTTPBackend struct {
 	base     string // http://host:port
 	client   *http.Client
-	inflight int
+	inflight int // chunk size: DefaultMaxInFlight (tests lower it)
 
 	mu sync.Mutex
 	rs engine.RemoteStats
 }
 
-// HTTPOption configures an HTTPBackend.
-type HTTPOption func(*HTTPBackend)
-
-// WithHTTPClient replaces the HTTP client (default: http.Client with no
-// overall timeout — batches legitimately take minutes; use the run
-// context for cancellation).
-func WithHTTPClient(c *http.Client) HTTPOption { return func(b *HTTPBackend) { b.client = c } }
-
-// WithMaxInFlight bounds the jobs outstanding on the worker at once
-// (<= 0 = DefaultMaxInFlight).
-func WithMaxInFlight(n int) HTTPOption {
-	return func(b *HTTPBackend) {
-		if n > 0 {
-			b.inflight = n
-		}
-	}
-}
-
 // NewHTTPBackend returns a backend for one worker address: a host:port
-// as passed to p5worker -listen, or a full http:// URL.
-func NewHTTPBackend(addr string, opts ...HTTPOption) *HTTPBackend {
+// as passed to p5worker -listen, or a full http:// URL. Its HTTP client
+// has no overall timeout — batches legitimately take minutes; the run
+// context cancels them.
+func NewHTTPBackend(addr string) *HTTPBackend {
 	base := addr
 	if !strings.Contains(base, "://") {
 		base = "http://" + base
 	}
-	b := &HTTPBackend{
+	return &HTTPBackend{
 		base:     strings.TrimRight(base, "/"),
 		client:   &http.Client{},
 		inflight: DefaultMaxInFlight,
 	}
-	for _, o := range opts {
-		o(b)
-	}
-	return b
 }
 
 // Name identifies the worker in diagnostics.
@@ -120,8 +100,8 @@ func (b *HTTPBackend) Healthy(ctx context.Context) error {
 // in-flight limit. A worker-level failure (unreachable, bad protocol,
 // non-2xx) stops the batch: jobs already executed keep their results,
 // every remaining job returns a Skipped result carrying the failure,
-// and the failure is also returned as Run's error so a sharding layer
-// can retry those jobs elsewhere. Job-level errors are never retried
+// and the failure is also returned as Run's error so the sharding layer
+// can open the worker's breaker. Job-level errors are never retried
 // here — they are deterministic properties of the job.
 func (b *HTTPBackend) Run(ctx context.Context, jobs []Job) ([]Result, error) {
 	if ctx == nil {

@@ -6,9 +6,10 @@
 // local engine — worker pool, in-memory cache and, when configured, a
 // persistent cachestore — behind two HTTP endpoints. The client side is
 // HTTPBackend (one worker) and ShardedBackend (a fleet): both implement
-// engine.Backend, so a client engine constructed with
-// engine.WithBackend executes its unique uncached jobs remotely while
-// keeping all caching, deduplication and progress fan-out local.
+// engine.Backend. The p5d daemon (internal/service) owns the only
+// fleet: its engine runs unique uncached jobs on the ShardedBackend its
+// workers register into, keeping caching, deduplication and retries in
+// the daemon.
 //
 // Portability. A job travels as its engine.Job value plus its
 // engine.JobKey. Both ends recompute the key from the decoded value: a

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"power5prio/internal/cachestore"
@@ -56,6 +55,13 @@ func testJobs(t testing.TB, n int) []engine.Job {
 // openStore opens a cachestore on dir (one per simulated process).
 func openStore(dir string) (*cachestore.Store, error) { return cachestore.Open(dir) }
 
+// httpWorker is NewHTTPBackend with its chunk size lowered to inflight.
+func httpWorker(addr string, inflight int) *HTTPBackend {
+	b := NewHTTPBackend(addr)
+	b.inflight = inflight
+	return b
+}
+
 // startWorker runs a worker server over httptest and returns its
 // address and the server object (for engine stats).
 func startWorker(t testing.TB, cfg ServerConfig) (string, *Server) {
@@ -78,10 +84,7 @@ func TestLoopbackEquivalence(t *testing.T) {
 
 	addr1, _ := startWorker(t, ServerConfig{Workers: 2})
 	addr2, _ := startWorker(t, ServerConfig{Workers: 2})
-	backend := NewSharded(
-		NewHTTPBackend(addr1, WithMaxInFlight(2)),
-		NewHTTPBackend(addr2, WithMaxInFlight(3)),
-	)
+	backend := NewDynamic(httpWorker(addr1, 2), httpWorker(addr2, 3))
 	if err := backend.Healthy(nil); err != nil {
 		t.Fatalf("Healthy: %v", err)
 	}
@@ -131,77 +134,6 @@ func TestLoopbackEquivalence(t *testing.T) {
 	}
 }
 
-// flakyProxy fronts a healthy worker and starts failing every request
-// after the first successful run call — a worker dying mid-batch.
-func flakyProxy(t testing.TB, target string, serveRuns int64) string {
-	t.Helper()
-	var runs atomic.Int64
-	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == RunPath && runs.Add(1) > serveRuns {
-			http.Error(w, "injected worker failure", http.StatusInternalServerError)
-			return
-		}
-		req, err := http.NewRequestWithContext(r.Context(), r.Method, target+r.URL.Path, r.Body)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		req.Header = r.Header
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadGateway)
-			return
-		}
-		defer resp.Body.Close()
-		w.WriteHeader(resp.StatusCode)
-		var buf bytes.Buffer
-		buf.ReadFrom(resp.Body)
-		w.Write(buf.Bytes())
-	}))
-	t.Cleanup(proxy.Close)
-	return proxy.URL
-}
-
-// TestWorkerFailureRetry: one of two workers fails every chunk it
-// grabs (health passes, run requests die); its jobs are retried on the
-// survivor and the batch still matches local execution byte for byte.
-// The broken worker serves zero runs so the failure is deterministic —
-// with work stealing there is no guarantee a worker gets a *second*
-// chunk, only that each live worker grabs a first while the other is
-// busy simulating.
-func TestWorkerFailureRetry(t *testing.T) {
-	if testing.Short() {
-		t.Skip("chip-level simulation")
-	}
-	jobs := testJobs(t, 8)
-	want := engine.New(4).Run(nil, jobs)
-
-	good, _ := startWorker(t, ServerConfig{Workers: 2})
-	flaky := flakyProxy(t, good, 0)
-
-	backend := NewSharded(
-		NewHTTPBackend(good, WithMaxInFlight(2)),
-		NewHTTPBackend(flaky, WithMaxInFlight(2)),
-	)
-	eng := engine.NewWith(0, nil, engine.WithBackend(backend))
-	got := eng.Run(nil, jobs)
-	for i := range jobs {
-		if got[i].Err != nil {
-			t.Fatalf("job %d failed despite a surviving worker: %v", i, got[i].Err)
-		}
-		if got[i].Pair != want[i].Pair {
-			t.Errorf("job %d: result differs from local after retry", i)
-		}
-	}
-	st := eng.Stats()
-	if st.Remote.WorkerErrors == 0 {
-		t.Error("injected worker failure not counted in Remote.WorkerErrors")
-	}
-	if st.Remote.Retries == 0 {
-		t.Error("no retries counted for the failed worker's jobs")
-	}
-}
-
 // TestAllWorkersFail: with every worker failing, jobs come back as
 // skipped backend errors — and nothing poisons the cache, so a retry
 // against a healthy fleet succeeds.
@@ -215,7 +147,9 @@ func TestAllWorkersFail(t *testing.T) {
 	defer dead.Close()
 
 	jobs := testJobs(t, 3)[:3]
-	backend := NewSharded(NewHTTPBackend(dead.URL), NewHTTPBackend(dead.URL))
+	// One job per chunk, so each dead worker takes one and opens its
+	// breaker; the third job is left to nobody.
+	backend := NewDynamic(httpWorker(dead.URL, 1), httpWorker(dead.URL, 1))
 	eng := engine.NewWith(0, nil, engine.WithBackend(backend))
 	res := eng.Run(nil, jobs)
 	for i, r := range res {
@@ -230,13 +164,13 @@ func TestAllWorkersFail(t *testing.T) {
 		t.Errorf("stats %+v, want 0 simulated / %d skipped", st, len(jobs))
 	}
 	if backend.Healthy(nil) == nil {
-		t.Error("Healthy succeeded against a dead fleet")
+		t.Error("Healthy succeeded with every breaker open")
 	}
 
 	// Same jobs on a healthy backend: the dead-fleet errors were not
 	// cached.
 	good, _ := startWorker(t, ServerConfig{Workers: 2})
-	eng2 := engine.NewWith(0, nil, engine.WithBackend(NewSharded(NewHTTPBackend(good))))
+	eng2 := engine.NewWith(0, nil, engine.WithBackend(NewDynamic(NewHTTPBackend(good))))
 	for i, r := range eng2.Run(nil, jobs) {
 		if r.Err != nil {
 			t.Fatalf("retry job %d: %v", i, r.Err)
@@ -260,7 +194,7 @@ func TestSharedStoreShortCircuit(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr1, srv1 := startWorker(t, ServerConfig{Workers: 2, Store: st1})
-	eng1 := engine.NewWith(0, nil, engine.WithBackend(New(addr1)))
+	eng1 := engine.NewWith(0, nil, engine.WithBackend(NewDynamic(NewHTTPBackend(addr1))))
 	want := eng1.Run(nil, jobs)
 	if s := srv1.Engine().Stats(); s.Simulated != len(jobs) || s.DiskWrites != len(jobs) {
 		t.Fatalf("cold worker stats %+v, want %d simulated+written", s, len(jobs))
@@ -272,7 +206,7 @@ func TestSharedStoreShortCircuit(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr2, srv2 := startWorker(t, ServerConfig{Workers: 2, Store: st2})
-	eng2 := engine.NewWith(0, nil, engine.WithBackend(New(addr2)))
+	eng2 := engine.NewWith(0, nil, engine.WithBackend(NewDynamic(NewHTTPBackend(addr2))))
 	got := eng2.Run(nil, jobs)
 	for i := range jobs {
 		if got[i].Err != nil || got[i].Pair != want[i].Pair {
@@ -343,7 +277,7 @@ func TestCustomWorkloadFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr, _ := startWorker(t, ServerConfig{Workers: 1})
-	eng := engine.NewWith(0, reg, engine.WithBackend(New(addr)))
+	eng := engine.NewWith(0, reg, engine.WithBackend(NewDynamic(NewHTTPBackend(addr))))
 	res := eng.Run(nil, []engine.Job{engine.Single(cref, prio.Supervisor, 1.0, core.DefaultConfig(), testOptions())})
 	if res[0].Err == nil {
 		t.Fatal("custom workload executed on a worker that cannot know its kernel")
@@ -364,7 +298,7 @@ func TestShardedCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	eng := engine.NewWith(0, nil, engine.WithBackend(NewSharded(NewHTTPBackend(addr, WithMaxInFlight(1)))))
+	eng := engine.NewWith(0, nil, engine.WithBackend(NewDynamic(httpWorker(addr, 1))))
 	nDone := 0
 	res := eng.RunFunc(ctx, jobs, func(i int, r engine.Result) {
 		if r.Err == nil {

@@ -1,10 +1,12 @@
 package remote
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"power5prio/internal/engine"
@@ -18,29 +20,25 @@ import (
 //
 // Scheduling is work-stealing rather than static: each worker pulls the
 // next chunk of at most its Capacity jobs when it becomes free, so a
-// fast worker takes more of the batch than a slow one. A worker-level
-// failure excludes that worker for the rest of the batch and requeues
-// its unfinished jobs for the surviving workers (retry-with-exclusion);
-// the batch fails only when every usable worker has failed with jobs
-// still pending. Job-level errors are deterministic and are not
-// retried.
+// fast worker takes more of the batch than a slow one. The fleet does
+// not retry: a failed worker's jobs come back Skipped, and the p5d
+// daemon that owns the fleet requeues them. Job-level errors are
+// deterministic and are never retried.
 //
-// Exclusions are remembered across batches (a circuit breaker): a
+// Failures are remembered across batches (a circuit breaker): a
 // worker that failed stays out of subsequent batches until its
 // re-probe deadline passes, at which point one health probe decides
 // whether it rejoins; failed probes push the deadline out with
-// exponential backoff (capped at 8x the base interval, SetReprobe).
-// When every worker is excluded the breaker force-probes the whole
-// fleet rather than failing a batch nobody attempted. None of this
-// affects determinism: results merge by submission index, so any
-// exclusion/rejoin interleaving is byte-identical to a local run.
+// exponential backoff (capped at 8x the base interval). When every
+// worker is excluded the breaker force-probes the whole fleet rather
+// than failing a batch nobody attempted. AddWorker (the daemon's
+// registration heartbeat) closes a worker's breaker at once.
 type ShardedBackend struct {
-	reprobe time.Duration
+	reprobe time.Duration    // base re-probe interval; tests shorten it
 	now     func() time.Time // injectable for the circuit-breaker tests
 
 	mu      sync.Mutex
 	workers []engine.Backend // append-only; elements are never replaced
-	rs      engine.RemoteStats
 	state   []workerState
 }
 
@@ -55,21 +53,10 @@ type workerState struct {
 // probed for readmission.
 const DefaultReprobe = 30 * time.Second
 
-// NewSharded builds a sharded backend over the given workers (typically
-// HTTPBackends; any engine.Backend works, which is how the retry and
-// circuit-breaker paths are tested).
-func NewSharded(workers ...engine.Backend) *ShardedBackend {
-	if len(workers) == 0 {
-		panic("remote: NewSharded needs at least one worker")
-	}
-	return NewDynamic(workers...)
-}
-
 // NewDynamic builds a sharded backend whose fleet may start empty and
-// grow at runtime through AddWorker — the shape a long-running service
-// with worker registration needs. With no workers, batches fail with a
-// no-workers error (and Healthy reports the fleet empty) rather than
-// panicking at construction.
+// grow at runtime through AddWorker — the shape the p5d daemon's
+// worker registration needs. With no workers, batches fail with a
+// no-workers error rather than panicking.
 func NewDynamic(workers ...engine.Backend) *ShardedBackend {
 	return &ShardedBackend{
 		workers: workers,
@@ -135,17 +122,6 @@ func (s *ShardedBackend) snapshot() []engine.Backend {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.workers
-}
-
-// SetReprobe adjusts the circuit breaker's base re-probe interval
-// (DefaultReprobe when unset; d <= 0 resets to the default).
-func (s *ShardedBackend) SetReprobe(d time.Duration) {
-	if d <= 0 {
-		d = DefaultReprobe
-	}
-	s.mu.Lock()
-	s.reprobe = d
-	s.mu.Unlock()
 }
 
 // markFailed opens the breaker for worker i and schedules its re-probe.
@@ -229,16 +205,6 @@ func (s *ShardedBackend) probe(ctx context.Context, idxs []int) []int {
 	return ok
 }
 
-// New returns the standard client-side fleet backend: one HTTPBackend
-// per p5worker address, sharded.
-func New(addrs ...string) *ShardedBackend {
-	ws := make([]engine.Backend, len(addrs))
-	for i, a := range addrs {
-		ws[i] = NewHTTPBackend(a)
-	}
-	return NewSharded(ws...)
-}
-
 // Name identifies the fleet in diagnostics.
 func (s *ShardedBackend) Name() string {
 	workers := s.snapshot()
@@ -257,45 +223,25 @@ func (s *ShardedBackend) Capacity() int {
 	return total
 }
 
-// FleetHealth probes every worker: alive counts the workers that
-// answered, down collects one error per worker that did not. Probing
-// does not touch circuit-breaker state.
-func (s *ShardedBackend) FleetHealth(ctx context.Context) (alive int, down []error) {
-	for _, w := range s.snapshot() {
-		if err := w.Healthy(ctx); err != nil {
-			down = append(down, err)
-		} else {
-			alive++
-		}
-	}
-	return alive, down
-}
-
-// Healthy succeeds when at least one worker answers its probe. The
-// fleet is designed to run degraded — the circuit breaker exists
-// precisely to exclude dead workers while the survivors serve batches
-// — so a single unreachable worker must not fail a startup health
-// check (a health loop retrying until the whole fleet answers would
-// never converge). Healthy fails only when no worker is reachable, or
-// the fleet is empty. Use FleetHealth for the per-worker detail,
-// including which workers are down.
-func (s *ShardedBackend) Healthy(ctx context.Context) error {
-	alive, down := s.FleetHealth(ctx)
-	if alive > 0 {
-		return nil
-	}
-	if len(down) == 0 {
+// Healthy succeeds while some worker's breaker is closed. It probes
+// nothing: readmission probes run at the start of the next batch.
+func (s *ShardedBackend) Healthy(context.Context) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.workers) == 0 {
 		return errors.New("remote: fleet has no workers")
 	}
-	return fmt.Errorf("remote: no worker reachable (%d probed): %w", len(down), errors.Join(down...))
+	for _, st := range s.state {
+		if !st.excluded {
+			return nil
+		}
+	}
+	return fmt.Errorf("remote: all %d workers excluded by the circuit breaker", len(s.workers))
 }
 
-// RemoteStats sums the fleet's counters plus the sharding layer's own
-// retry bookkeeping.
+// RemoteStats sums the fleet's per-worker counters.
 func (s *ShardedBackend) RemoteStats() engine.RemoteStats {
-	s.mu.Lock()
-	total := s.rs
-	s.mu.Unlock()
+	var total engine.RemoteStats
 	for _, w := range s.snapshot() {
 		if ws, ok := w.(engine.RemoteStatser); ok {
 			r := ws.RemoteStats()
@@ -307,88 +253,20 @@ func (s *ShardedBackend) RemoteStats() engine.RemoteStats {
 	return total
 }
 
-// dispatcher is the shared batch state: pending job indices, plus an
-// in-flight count so an idle worker can tell "no work right now" (a
-// failed peer may requeue) from "the batch is drained".
-type dispatcher struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	pending  []int
-	inflight int
-}
-
-func newDispatcher(n int) *dispatcher {
-	d := &dispatcher{pending: make([]int, n)}
-	for i := range d.pending {
-		d.pending[i] = i
-	}
-	d.cond = sync.NewCond(&d.mu)
-	return d
-}
-
-// grab blocks until work is available (returning up to max indices and
-// raising the in-flight count) or the batch is finished or cancelled
-// (returning nil).
-func (d *dispatcher) grab(ctx context.Context, max int) []int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for len(d.pending) == 0 && d.inflight > 0 && ctx.Err() == nil {
-		d.cond.Wait()
-	}
-	if len(d.pending) == 0 || ctx.Err() != nil {
-		return nil
-	}
-	if max < 1 {
-		max = 1
-	}
-	if max > len(d.pending) {
-		max = len(d.pending)
-	}
-	chunk := append([]int(nil), d.pending[:max]...)
-	d.pending = d.pending[max:]
-	d.inflight++
-	return chunk
-}
-
-// finish lowers the in-flight count, requeueing any indices the worker
-// could not run, and wakes idle workers.
-func (d *dispatcher) finish(requeue []int) {
-	d.mu.Lock()
-	d.inflight--
-	d.pending = append(d.pending, requeue...)
-	d.mu.Unlock()
-	d.cond.Broadcast()
-}
-
-// wake unblocks grab waiters (used when ctx is cancelled).
-func (d *dispatcher) wake() { d.cond.Broadcast() }
-
-// leftovers returns the indices still pending after all workers exited.
-func (d *dispatcher) leftovers() []int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.pending
-}
-
 // Run executes the batch across the fleet; see RunProgress.
 func (s *ShardedBackend) Run(ctx context.Context, jobs []Job) ([]Result, error) {
 	return s.RunProgress(ctx, jobs, nil)
 }
 
-// maxRequeues bounds how many times one job may be defensively
-// requeued after a worker returned it Skipped without a worker-level
-// error. Worker failures are not counted against it (each failing
-// worker is excluded, so those retries are bounded by the fleet size);
-// the cap exists for the pathological worker that keeps answering
-// batches while executing nothing, which would otherwise livelock the
-// dispatcher forever.
-const maxRequeues = 3
-
 // RunProgress executes the batch across the fleet, reporting each job's
-// result as it lands. On cancellation, unfinished jobs return Skipped
-// results with the context's error. If every worker fails while jobs
-// are still pending, those jobs return Skipped results carrying the
-// combined failure, which is also returned as the batch error.
+// result as it lands. Workers pull chunks of at most their Capacity
+// from a shared cursor until the batch is taken. A worker that fails
+// returns its chunk's unfinished jobs Skipped with its error, has its
+// breaker opened and takes no more chunks; the chunks nobody has taken
+// go to the survivors. Skipped jobs are not retried here: the caller
+// (the p5d daemon's requeue) owns retries. The batch error joins the
+// worker failures, and is nil when none failed. On cancellation the
+// untaken jobs return Skipped with the context's error.
 func (s *ShardedBackend) RunProgress(ctx context.Context, jobs []Job, done func(i int, r Result)) ([]Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -403,17 +281,6 @@ func (s *ShardedBackend) RunProgress(ctx context.Context, jobs []Job, done func(
 			doneMu.Unlock()
 		}
 	}
-
-	d := newDispatcher(len(jobs))
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() { // wake grab waiters when the batch context dies
-		select {
-		case <-ctx.Done():
-			d.wake()
-		case <-stop:
-		}
-	}()
 
 	workers := s.snapshot()
 	active := s.eligible(ctx)
@@ -430,114 +297,57 @@ func (s *ShardedBackend) RunProgress(ctx context.Context, jobs []Job, done func(
 		return out, err
 	}
 
-	// requeues counts per-job defensive requeues (worker returned the
-	// job Skipped with no worker-level error) toward maxRequeues.
-	requeues := make([]int, len(jobs))
-	var requeueMu sync.Mutex
-
+	// next is the work-stealing cursor: the first job no worker has
+	// taken. It only grows, so [min(next, len), len) is what is left.
+	var next atomic.Int64
+	take := func(n int) (lo, hi int) {
+		n = max(n, 1)
+		hi = int(next.Add(int64(n)))
+		return min(hi-n, len(jobs)), min(hi, len(jobs))
+	}
+	failures := make([]error, len(active))
 	var wg sync.WaitGroup
-	var failMu sync.Mutex
-	var failures []error
-	for _, wi := range active {
+	for a, wi := range active {
 		wg.Add(1)
-		go func(wi int) {
-			w := workers[wi]
+		go func() {
 			defer wg.Done()
-			for {
-				chunk := d.grab(ctx, w.Capacity())
-				if chunk == nil {
+			w := workers[wi]
+			for ctx.Err() == nil {
+				lo, hi := take(w.Capacity())
+				if lo == hi {
 					return
 				}
-				chunkJobs := make([]Job, len(chunk))
-				for i, k := range chunk {
-					chunkJobs[i] = jobs[k]
-				}
-				res, err := w.Run(ctx, chunkJobs)
-				// Record what the worker did run; collect the rest.
-				var unfinished []int
-				for i, k := range chunk {
-					var r Result
-					if i < len(res) {
-						r = res[i]
-					} else {
-						r = Result{Job: jobs[k], Skipped: true}
+				res, err := w.Run(ctx, jobs[lo:hi])
+				for k := lo; k < hi; k++ {
+					r := Result{Job: jobs[k], Skipped: true}
+					if k-lo < len(res) {
+						r = res[k-lo]
 					}
-					if r.Skipped {
-						unfinished = append(unfinished, k)
-						continue
+					if r.Skipped && r.Err == nil {
+						r.Err = cmp.Or(err, ctx.Err(), fmt.Errorf("remote: worker %s returned the job unexecuted", w.Name()))
 					}
 					finish(k, r)
 				}
 				if err != nil && ctx.Err() == nil {
-					// Worker failure: open its breaker (excluding it
-					// from this and subsequent batches until a
-					// re-probe readmits it), hand its unfinished jobs
-					// to the survivors.
 					s.markFailed(wi)
-					s.mu.Lock()
-					s.rs.Retries += len(unfinished)
-					s.mu.Unlock()
-					failMu.Lock()
-					failures = append(failures, err)
-					failMu.Unlock()
-					d.finish(unfinished)
+					failures[a] = err
 					return
 				}
-				if ctx.Err() != nil {
-					// Cancelled: report, don't retry.
-					for _, k := range unfinished {
-						finish(k, Result{Job: jobs[k], Err: ctx.Err(), Skipped: true})
-					}
-					d.finish(nil)
-					return
-				}
-				// A worker that reports per-job Skipped without a
-				// worker-level error did not execute them (defensive:
-				// the HTTP client never does this); retry elsewhere —
-				// but not forever. Without a cap, a worker that
-				// persistently skips jobs while reporting success
-				// livelocks the batch: its jobs requeue, it grabs them
-				// again, ad infinitum. After maxRequeues defensive
-				// requeues a job fails with a diagnostic instead.
-				var retry []int
-				for _, k := range unfinished {
-					requeueMu.Lock()
-					requeues[k]++
-					n := requeues[k]
-					requeueMu.Unlock()
-					if n > maxRequeues {
-						finish(k, Result{Job: jobs[k], Skipped: true, Err: fmt.Errorf(
-							"remote: job returned skipped without a worker error and was requeued %d times (last worker %s); giving up — the worker is accepting batches but not executing them",
-							maxRequeues, w.Name())})
-						continue
-					}
-					retry = append(retry, k)
-				}
-				s.mu.Lock()
-				s.rs.Retries += len(retry)
-				s.mu.Unlock()
-				d.finish(retry)
 			}
-		}(wi)
+		}()
 	}
 	wg.Wait()
 
-	left := d.leftovers()
-	if len(left) == 0 {
-		return out, nil
-	}
-	if err := ctx.Err(); err != nil {
-		for _, k := range left {
+	failed := errors.Join(failures...)
+	if left := min(int(next.Load()), len(jobs)); left < len(jobs) {
+		err := ctx.Err()
+		if err == nil {
+			err = fmt.Errorf("remote: %d jobs undispatched: all %d dispatched workers failed: %w",
+				len(jobs)-left, len(active), failed)
+		}
+		for k := left; k < len(jobs); k++ {
 			finish(k, Result{Job: jobs[k], Err: err, Skipped: true})
 		}
-		return out, nil
 	}
-	failMu.Lock()
-	err := fmt.Errorf("remote: %d jobs undispatched: all %d dispatched workers failed: %w",
-		len(left), len(active), errors.Join(failures...))
-	failMu.Unlock()
-	for _, k := range left {
-		finish(k, Result{Job: jobs[k], Err: err, Skipped: true})
-	}
-	return out, err
+	return out, failed
 }

@@ -26,7 +26,7 @@ import (
 // tenants sooner.
 const DefaultSubmitChunk = 256
 
-// Client failure-handling defaults; each has a With* option.
+// Client failure-handling defaults.
 const (
 	// DefaultIdleTimeout is the per-event idle deadline on the NDJSON
 	// stream: if no event arrives for this long the client treats the
@@ -44,10 +44,10 @@ const (
 	// exponential backoff this spans roughly a minute of daemon outage
 	// — enough to ride a restart.
 	DefaultResumeAttempts = 10
-	// DefaultHealthTimeout bounds one Healthy probe.
-	DefaultHealthTimeout = 5 * time.Second
-	// DefaultRegisterTimeout bounds one RegisterWorker exchange.
-	DefaultRegisterTimeout = 10 * time.Second
+	// healthTimeout bounds one Healthy probe.
+	healthTimeout = 5 * time.Second
+	// registerTimeout bounds one RegisterWorker exchange.
+	registerTimeout = 10 * time.Second
 )
 
 // retryBase is the shortest backoff pause: the first resume retry, and
@@ -77,9 +77,7 @@ type Client struct {
 	chunk           int
 	idleTimeout     time.Duration
 	backpressureCap time.Duration
-	resumeAttempts  int
-	healthTimeout   time.Duration
-	registerTimeout time.Duration
+	resumeAttempts  int // DefaultResumeAttempts; tests lower it
 
 	estimate *EstimateSpec
 
@@ -130,25 +128,6 @@ func WithBackpressureCap(d time.Duration) ClientOption {
 	}
 }
 
-// WithResumeAttempts bounds consecutive no-progress stream resumes
-// (<= 0 keeps the default).
-func WithResumeAttempts(n int) ClientOption {
-	return func(c *Client) {
-		if n > 0 {
-			c.resumeAttempts = n
-		}
-	}
-}
-
-// WithHealthTimeout bounds one Healthy probe (<= 0 keeps the default).
-func WithHealthTimeout(d time.Duration) ClientOption {
-	return func(c *Client) {
-		if d > 0 {
-			c.healthTimeout = d
-		}
-	}
-}
-
 // WithEstimate attaches a tier-0 policy to every submission: the
 // daemon answers this client's jobs from its analytical estimator
 // under mode m, and estimated results come back flagged with the
@@ -167,16 +146,6 @@ func WithEstimate(m engine.EstimateMode) ClientOption {
 	}
 }
 
-// WithRegisterTimeout bounds one RegisterWorker exchange (<= 0 keeps
-// the default).
-func WithRegisterTimeout(d time.Duration) ClientOption {
-	return func(c *Client) {
-		if d > 0 {
-			c.registerTimeout = d
-		}
-	}
-}
-
 // NewClient returns a client for a daemon address: host:port as passed
 // to p5d -listen, or a full http:// URL.
 func NewClient(addr string, opts ...ClientOption) *Client {
@@ -192,8 +161,6 @@ func NewClient(addr string, opts ...ClientOption) *Client {
 		idleTimeout:     DefaultIdleTimeout,
 		backpressureCap: DefaultBackpressureCap,
 		resumeAttempts:  DefaultResumeAttempts,
-		healthTimeout:   DefaultHealthTimeout,
-		registerTimeout: DefaultRegisterTimeout,
 	}
 	for _, o := range opts {
 		o(c)
@@ -226,7 +193,7 @@ func (c *Client) Healthy(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	ctx, cancel := context.WithTimeout(ctx, c.healthTimeout)
+	ctx, cancel := context.WithTimeout(ctx, healthTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+HealthPath, nil)
 	if err != nil {
@@ -257,48 +224,50 @@ func (c *Client) Run(ctx context.Context, jobs []engine.Job) ([]engine.Result, e
 // draining daemon's 503) backs off and retries under a cumulative cap;
 // a stalled, truncated or drained stream resubmits only its unfinished
 // jobs, riding out a daemon restart. When the retry budgets run out,
-// the remaining jobs are skipped and the failure returned so a caller
-// can retry them, matching the worker-backend contract.
+// the jobs not yet delivered are skipped and the failure returned so a
+// caller can retry them, matching the worker-backend contract.
 func (c *Client) RunProgress(ctx context.Context, jobs []engine.Job, done func(i int, r engine.Result)) ([]engine.Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	out := make([]engine.Result, len(jobs))
+	delivered := make([]bool, len(jobs))
 	report := func(k int, r engine.Result) {
 		out[k] = r
+		delivered[k] = true
 		if done != nil {
 			done(k, r)
+		}
+	}
+	// skipRest resolves every undelivered job from start on: a chunk
+	// that failed part-way keeps the results it already reported.
+	skipRest := func(start int, err error) {
+		for k := start; k < len(jobs); k++ {
+			if !delivered[k] {
+				report(k, engine.Result{Job: jobs[k], Err: err, Skipped: true})
+			}
 		}
 	}
 	for start := 0; start < len(jobs); start += c.chunk {
 		end := min(start+c.chunk, len(jobs))
 		if err := ctx.Err(); err != nil {
-			c.skipFrom(out, jobs, start, err, done)
+			skipRest(start, err)
 			return out, nil // cancellation is not a daemon failure
 		}
 		if err := c.submitChunk(ctx, jobs, start, end, report); err != nil {
 			if ctx.Err() != nil {
-				c.skipFrom(out, jobs, start, ctx.Err(), done)
+				skipRest(start, ctx.Err())
 				return out, nil
 			}
 			c.mu.Lock()
 			c.rs.WorkerErrors++
 			c.mu.Unlock()
 			err = fmt.Errorf("service: daemon %s: %w", c.base, err)
-			c.skipFrom(out, jobs, start, err, done)
+			skipRest(start, err)
 			return out, err
 		}
 	}
 	return out, nil
-}
-
-func (c *Client) skipFrom(out []engine.Result, jobs []engine.Job, start int, err error, done func(i int, r engine.Result)) {
-	for k := start; k < len(jobs); k++ {
-		out[k] = engine.Result{Job: jobs[k], Err: err, Skipped: true}
-		if done != nil {
-			done(k, out[k])
-		}
-	}
 }
 
 // errBackpressure marks an admission rejection (429 queue-full, or a
@@ -562,7 +531,7 @@ func (c *Client) RegisterWorker(ctx context.Context, workerAddr string) (added b
 	if err != nil {
 		return false, fmt.Errorf("service: encode register request: %w", err)
 	}
-	ctx, cancel := context.WithTimeout(ctx, c.registerTimeout)
+	ctx, cancel := context.WithTimeout(ctx, registerTimeout)
 	defer cancel()
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+RegisterPath, bytes.NewReader(body))
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -13,8 +14,13 @@ import (
 	"testing"
 	"time"
 
+	"power5prio/internal/core"
 	"power5prio/internal/engine"
+	"power5prio/internal/fame"
+	"power5prio/internal/microbench"
+	"power5prio/internal/prio"
 	"power5prio/internal/remote"
+	"power5prio/internal/workload"
 )
 
 // skipBackend skips every job (no backend error) for the first `fail`
@@ -323,5 +329,155 @@ func TestJobTimeout(t *testing.T) {
 	}
 	if st := d.Stats(); st.Requeued != 2 {
 		t.Fatalf("stats requeued = %d, want 2 (the deadlined batch)", st.Requeued)
+	}
+}
+
+// TestClientKeepsDeliveredResultsOnGiveUp pins the progress contract
+// when a chunk fails part-way: a stream delivers one of two results,
+// then every resume drops until the resume budget is spent. The
+// delivered result must come back intact, only the undelivered job is
+// skipped, and done fires exactly once per index.
+func TestClientKeepsDeliveredResultsOnGiveUp(t *testing.T) {
+	var calls atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req SubmitRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		enc := json.NewEncoder(w)
+		enc.Encode(Event{Type: EventHeader, Protocol: ProtocolVersion, Accepted: len(req.Jobs)})
+		if calls.Add(1) == 1 {
+			res := remote.WireResult{Key: req.Jobs[0].Key}
+			res.Pair.TotalIPC = 1.5
+			enc.Encode(Event{Type: EventResult, Index: 0, Result: &res})
+		}
+		// Returning ends the stream without a trailer: a dropped stream.
+	}))
+	defer srv.Close()
+
+	cl := NewClient(srv.URL, WithClientID("c"))
+	cl.resumeAttempts = 1
+	fired := make(map[int]int)
+	res, err := cl.RunProgress(nil, svcJobs(2, 0), func(i int, _ engine.Result) { fired[i]++ })
+	if err == nil || !strings.Contains(err.Error(), "giving up after") {
+		t.Fatalf("run error = %v, want a resume give-up", err)
+	}
+	if r := res[0]; r.Skipped || r.Err != nil || r.Pair.TotalIPC != 1.5 {
+		t.Errorf("delivered result = %+v, want it intact", r)
+	}
+	if r := res[1]; !r.Skipped || r.Err == nil {
+		t.Errorf("undelivered result = %+v, want skipped with the give-up error", r)
+	}
+	if fired[0] != 1 || fired[1] != 1 {
+		t.Errorf("done fired %v, want once per index", fired)
+	}
+}
+
+// chipJobs builds n distinct tiny co-run jobs (n <= 49) that really
+// simulate, so a test can compare served bytes with local execution.
+func chipJobs(t *testing.T, n int) []engine.Job {
+	t.Helper()
+	reg := workload.NewRegistry()
+	a, err := reg.Resolve(microbench.CPUInt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := reg.Resolve(microbench.LdIntL1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := fame.Options{MinReps: 2, WarmupReps: 0, MaxCycles: 50_000_000}
+	jobs := make([]engine.Job, n)
+	for i := range jobs {
+		pp, ps := prio.Level(1+i%7), prio.Level(1+(i/7)%7)
+		jobs[i] = engine.Pair(a, b, pp, ps, prio.Supervisor, 0.02, core.DefaultConfig(), opts)
+	}
+	return jobs
+}
+
+// proxy forwards a worker's traffic to target; onRun, when set, decides
+// per run request whether to forward it (true) or fail it.
+func proxy(t *testing.T, target string, onRun func() bool) string {
+	t.Helper()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == remote.RunPath && onRun != nil && !onRun() {
+			http.Error(w, "injected worker failure", http.StatusInternalServerError)
+			return
+		}
+		req, err := http.NewRequestWithContext(r.Context(), r.Method, target+r.URL.Path, r.Body)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		req.Header = r.Header
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadGateway)
+			return
+		}
+		defer resp.Body.Close()
+		w.WriteHeader(resp.StatusCode)
+		io.Copy(w, resp.Body)
+	}))
+	t.Cleanup(srv.Close)
+	return srv.URL
+}
+
+// TestWorkerFailureRetry: one of two registered workers fails every
+// chunk it takes (its health probe passes, its run requests die). The
+// fleet hands the failed chunk back skipped, the daemon requeues it
+// onto the survivor, and every result matches local execution byte
+// for byte.
+func TestWorkerFailureRetry(t *testing.T) {
+	if testing.Short() {
+		t.Skip("chip-level simulation")
+	}
+	// One dispatch of 32 jobs is two 16-job chunks, one per worker.
+	jobs := chipJobs(t, 2*remote.DefaultMaxInFlight)
+	want := engine.New(2).Run(nil, jobs)
+
+	worker := httptest.NewServer(remote.NewServer(remote.ServerConfig{Workers: 2}).Handler())
+	defer worker.Close()
+	// The good worker's first chunk waits until the bad one has taken
+	// the other, so the failure is certain to hit a chunk.
+	badRan := make(chan struct{})
+	var once sync.Once
+	good := proxy(t, worker.URL, func() bool {
+		select {
+		case <-badRan:
+		case <-time.After(10 * time.Second): // fails the Requeued check below
+		}
+		return true
+	})
+	bad := proxy(t, worker.URL, func() bool { once.Do(func() { close(badRan) }); return false })
+
+	fleet := remote.NewDynamic()
+	eng := engine.NewWith(0, nil, engine.WithBackend(fleet))
+	d := New(eng, fleet, Config{Dispatchers: 1})
+	srv := startDaemon(t, d)
+	for _, addr := range []string{good, bad} {
+		if _, err := d.RegisterWorker(context.Background(), addr); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	got, err := NewClient(srv.URL, WithClientID("c")).Run(nil, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range jobs {
+		if got[i].Err != nil {
+			t.Fatalf("job %d failed despite a surviving worker: %v", i, got[i].Err)
+		}
+		if got[i].Pair != want[i].Pair {
+			t.Errorf("job %d: result differs from local after the requeue", i)
+		}
+	}
+	if st := d.Stats(); st.Requeued == 0 {
+		t.Error("the failed worker's jobs were not requeued by the daemon")
+	}
+	if eng.Stats().Remote.WorkerErrors == 0 {
+		t.Error("injected worker failure not counted in Remote.WorkerErrors")
 	}
 }

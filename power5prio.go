@@ -23,11 +23,11 @@
 // submits engine jobs that fan out across a worker pool and memoize in a
 // content-keyed result cache. Batches take a context: cancelling it
 // returns the completed prefix of results, and the finished work stays
-// cached for a retry. Execution is pluggable: WithRemoteWorkers shards
-// batches across p5worker processes on other machines, and WithService
-// submits them to a shared p5d measurement daemon that queues, fairly
-// schedules and deduplicates jobs across many concurrent clients — in
-// every case with results byte-identical to local runs.
+// cached for a retry. Execution is pluggable: WithService submits
+// batches to a shared p5d measurement daemon that queues, fairly
+// schedules and deduplicates jobs across many concurrent clients and
+// runs them on the p5worker fleet registered with it — with results
+// byte-identical to local runs.
 //
 // Quick start:
 //
@@ -55,7 +55,6 @@ import (
 	"power5prio/internal/isa"
 	"power5prio/internal/microbench"
 	"power5prio/internal/prio"
-	"power5prio/internal/remote"
 	"power5prio/internal/service"
 	"power5prio/internal/spec"
 	"power5prio/internal/tuner"
@@ -300,8 +299,8 @@ func DefaultEstimateTolerance() float64 { return analytic.DefaultTolerance() }
 func WithEstimate(m EstimateMode) Option { return func(s *System) { s.estMode = m } }
 
 // Backend executes measurement batches on behalf of a System: the
-// in-process worker pool by default, a fleet of remote workers with
-// WithRemoteWorkers, or any custom engine.Backend implementation. Every
+// in-process worker pool by default, a p5d daemon with WithService, or
+// any custom engine.Backend implementation. Every
 // backend returns bit-identical results for the same measurement, so
 // swapping backends never changes what a System reports — only where
 // and how fast the simulations run.
@@ -313,32 +312,17 @@ type Backend = engine.Backend
 // backend: only unique uncached measurements reach it.
 func WithBackend(b Backend) Option { return func(s *System) { s.backend = b } }
 
-// WithRemoteWorkers shards the System's simulations across p5worker
-// processes listening at the given addresses (host:port, or full
-// http:// URLs). Batches fan out across the fleet with work-stealing
-// scheduling and per-worker in-flight limits; a worker failing mid-batch
-// is excluded and its jobs retried on the survivors; results are
-// byte-identical to local execution for any fleet size or failure
-// interleaving. Custom kernels registered with RegisterWorkload cannot
-// travel over the wire and fail with a clear error; built-in workloads
-// shard freely. Worker liveness is probed lazily per batch — use
-// engine/remote.ShardedBackend.Healthy via WithBackend for an upfront
-// check.
-func WithRemoteWorkers(addrs ...string) Option {
-	return func(s *System) { s.backend = remote.New(addrs...) }
-}
-
 // WithService routes the System's simulations through a p5d measurement
 // daemon at addr (host:port, or a full http:// URL) speaking the
-// p5queue/v3 protocol. Unlike WithRemoteWorkers — where this process
-// owns the fleet — the daemon is shared: it queues submissions from
+// p5queue/v3 protocol. The daemon is shared: it queues submissions from
 // many concurrent clients with per-client fair scheduling, deduplicates
-// identical in-flight jobs across clients, and answers repeats from its
-// own cache tiers. The System's local cache tiers stay in front, so
-// only locally-unknown measurements travel. Results are byte-identical
-// to local execution; the same custom-kernel restriction as
-// WithRemoteWorkers applies (registered kernels cannot travel over the
-// wire).
+// identical in-flight jobs across clients, answers repeats from its own
+// cache tiers, and runs the rest on its worker fleet, retrying jobs a
+// failed worker dropped. The System's local cache tiers stay in front,
+// so only locally-unknown measurements travel. Results are
+// byte-identical to local execution. Custom kernels registered with
+// RegisterWorkload cannot travel over the wire and fail with a clear
+// error; built-in workloads run anywhere.
 func WithService(addr string) Option {
 	return func(s *System) { s.backend = service.NewClient(addr) }
 }
@@ -402,23 +386,6 @@ func (s *System) cacheReady() error {
 	}
 	return nil
 }
-
-// SetMeasureOptions replaces the FAME options used by measurements.
-//
-// Deprecated: pass WithMeasureOptions to New. Mutating a System mid-life
-// changes the cache keys of subsequent measurements.
-func (s *System) SetMeasureOptions(o MeasureOptions) { s.opts = o }
-
-// SetPrivilege sets the software privilege for in-stream priority changes.
-//
-// Deprecated: pass WithPrivilege to New.
-func (s *System) SetPrivilege(p Privilege) { s.priv = p }
-
-// SetWorkers bounds the concurrency of batch measurements (n <= 0 = all
-// CPU cores). The result cache is retained across the change.
-//
-// Deprecated: pass WithWorkers to New.
-func (s *System) SetWorkers(n int) { s.eng.SetWorkers(n) }
 
 // RegisterWorkload adds a custom kernel to the System's workload
 // registry under the kernel's own name, making it usable in any Spec —
@@ -809,46 +776,6 @@ func (s *System) MeasureSingle(k *Kernel) (ThreadResult, error) {
 	ch.PlacePair(k, nil, Medium, Medium, s.priv)
 	return fame.Measure(ch, s.opts).Thread[0], nil
 }
-
-// MeasureMicroPair is MeasurePair over named micro-benchmarks.
-//
-// Deprecated: use Measure with a Spec — it accepts the same names, runs
-// through the cache, and is not limited to one workload family.
-func (s *System) MeasureMicroPair(nameA, nameB string, pa, pb Level) (PairResult, error) {
-	a, err := microbench.Build(nameA)
-	if err != nil {
-		return PairResult{}, err
-	}
-	b, err := microbench.Build(nameB)
-	if err != nil {
-		return PairResult{}, err
-	}
-	return s.MeasurePair(a, b, pa, pb)
-}
-
-// MeasureSpecPair is MeasurePair over named synthetic SPEC workloads.
-//
-// Deprecated: use Measure with a Spec — it accepts the same names, runs
-// through the cache, and is not limited to one workload family.
-func (s *System) MeasureSpecPair(nameA, nameB string, pa, pb Level) (PairResult, error) {
-	a, err := spec.Build(nameA)
-	if err != nil {
-		return PairResult{}, err
-	}
-	b, err := spec.Build(nameB)
-	if err != nil {
-		return PairResult{}, err
-	}
-	return s.MeasurePair(a, b, pa, pb)
-}
-
-// BatchSpec is the pre-registry name of Spec.
-//
-// Deprecated: use Spec. Note the semantic fix that came with it: a zero
-// priority now always means Medium — the historical BatchSpec silently
-// reinterpreted PA=0 that way for single-workload specs only, while a
-// pair at (0,0) meant the nonsensical both-threads-off placement.
-type BatchSpec = Spec
 
 // PipelineResult is the outcome of an FFT/LU software-pipeline run.
 type PipelineResult = apps.Result

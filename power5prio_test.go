@@ -93,14 +93,15 @@ func TestCustomKernelRoundTrip(t *testing.T) {
 
 func TestMeasureMicroPair(t *testing.T) {
 	s := quickSystem()
-	res, err := s.MeasureMicroPair("cpu_int", "cpu_int", Medium, Medium)
+	ctx := context.Background()
+	res, err := s.Measure(ctx, Spec{A: "cpu_int", B: "cpu_int", PA: Medium, PB: Medium})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Thread[0].IPC <= 0 || res.Thread[1].IPC <= 0 {
 		t.Errorf("pair IPCs = (%v,%v), want both positive", res.Thread[0].IPC, res.Thread[1].IPC)
 	}
-	if _, err := s.MeasureMicroPair("nope", "cpu_int", Medium, Medium); err == nil {
+	if _, err := s.Measure(ctx, Spec{A: "nope", B: "cpu_int"}); err == nil {
 		t.Error("accepted unknown benchmark")
 	}
 }
@@ -122,11 +123,12 @@ func TestPriorityChangesOutcome(t *testing.T) {
 		t.Skip("simulation test")
 	}
 	s := quickSystem()
-	base, err := s.MeasureMicroPair("cpu_int", "cpu_int", Medium, Medium)
+	ctx := context.Background()
+	base, err := s.Measure(ctx, Spec{A: "cpu_int", B: "cpu_int", PA: Medium, PB: Medium})
 	if err != nil {
 		t.Fatal(err)
 	}
-	up, err := s.MeasureMicroPair("cpu_int", "cpu_int", High, Low)
+	up, err := s.Measure(ctx, Spec{A: "cpu_int", B: "cpu_int", PA: High, PB: Low})
 	if err != nil {
 		t.Fatal(err)
 	}
