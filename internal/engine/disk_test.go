@@ -39,6 +39,7 @@ func TestDiskTierWarmEngine(t *testing.T) {
 	if cs.DiskHits != 0 || cs.DiskMisses != len(unique) || cs.DiskWrites != len(unique) {
 		t.Fatalf("cold stats %+v: want 0 disk hits, %d misses, %d writes", cs, len(unique), len(unique))
 	}
+	checkAccounting(t, cold)
 
 	warm := NewWith(4, nil, WithStore(openStore(t, dir)))
 	warmRes := warm.Run(nil, jobs)
@@ -52,6 +53,7 @@ func TestDiskTierWarmEngine(t *testing.T) {
 	if ws.Hits != len(jobs) {
 		t.Errorf("warm Hits = %d, want every job (%d) served from cache", ws.Hits, len(jobs))
 	}
+	checkAccounting(t, warm)
 	for i := range jobs {
 		if warmRes[i].Err != nil {
 			t.Fatalf("warm job %d: %v", i, warmRes[i].Err)

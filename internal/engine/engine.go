@@ -87,6 +87,10 @@ func Pair(refP, refS workload.Ref, pp, ps prio.Level, priv prio.Privilege, iterS
 }
 
 // Result pairs a submitted job with its measurement.
+//
+// A job submitted more than once in a batch runs once: each later
+// duplicate gets a copy of the first occurrence's Result with CacheHit
+// set to !Skipped && !Estimated and every other flag unchanged.
 type Result struct {
 	Job Job
 	// Pair holds the measurement; for single-thread jobs only Thread[0]
@@ -380,6 +384,7 @@ func (e *Engine) RunEstimate(ctx context.Context, jobs []Job, modes []EstimateMo
 	e.stats.EstimatedHits += len(estHits)
 	e.stats.EstimatedEscalated += len(estEscalated)
 	var candidates []int
+	var flights []*flight
 	var joiners []joinWait
 	followers := make(map[Job][]int)
 	var hitIdx []int
@@ -403,8 +408,10 @@ func (e *Engine) RunEstimate(ctx context.Context, jobs []Job, modes []EstimateMo
 			e.stats.Coalesced++
 			continue
 		}
-		e.inflight[j] = &flight{done: make(chan struct{})}
+		fl := &flight{done: make(chan struct{})}
+		e.inflight[j] = fl
 		candidates = append(candidates, i)
+		flights = append(flights, fl)
 	}
 	e.mu.Unlock()
 
@@ -422,6 +429,20 @@ func (e *Engine) RunEstimate(ctx context.Context, jobs []Job, modes []EstimateMo
 	report(estHits...)
 	report(hitIdx...)
 
+	// deliver makes r the final result of batch index idx and copies it
+	// to the job's in-batch duplicates, which are cache hits of it
+	// unless it was never attempted or is an estimate (estimates are
+	// never cached).
+	deliver := func(idx int, r Result) {
+		out[idx] = r
+		dups := followers[jobs[idx]]
+		for _, f := range dups {
+			out[f] = r
+			out[f].CacheHit = !r.Skipped && !r.Estimated
+		}
+		report(append([]int{idx}, dups...)...)
+	}
+
 	// Joined jobs wait concurrently with this batch's own backend work:
 	// each waiter serves its flight's cached outcome when it lands, or
 	// claims the job if the owning batch abandons it (see flight.go).
@@ -431,156 +452,123 @@ func (e *Engine) RunEstimate(ctx context.Context, jobs []Job, modes []EstimateMo
 		go func(jn joinWait) {
 			defer joinWG.Done()
 			j := jobs[jn.idx]
-			flw := followers[j]
-			e.awaitFlight(ctx, j, jn.fl, len(flw), func(r Result) {
-				out[jn.idx] = r
-				for _, f := range flw {
-					fr := r
-					if !r.Skipped {
-						fr.CacheHit = true
-					}
-					out[f] = fr
-				}
-				report(append([]int{jn.idx}, flw...)...)
-			})
+			e.awaitFlight(ctx, j, jn.fl, len(followers[j]), func(r Result) { deliver(jn.idx, r) })
 		}(jn)
 	}
 	defer joinWG.Wait()
 
-	// Probe the persistent tier for first-in-process sightings — outside
-	// the engine lock, because each probe is file I/O and must not stall
-	// concurrent batches. A disk hit is promoted into the memory map (one
-	// probe per job per process) and resolves its in-batch followers.
-	toRun := candidates
-	if e.store != nil {
-		toRun = make([]int, 0, len(candidates))
-		for _, idx := range candidates {
-			j := jobs[idx]
-			pair, ok := e.diskGet(j)
-			e.mu.Lock()
-			if ok {
-				e.cache[j] = outcome{pair: pair}
-				e.stats.Hits += 1 + len(followers[j])
-				e.stats.DiskHits++
-				if fl, ok := e.inflight[j]; ok {
-					e.completeLocked(j, fl)
-				}
-			} else {
-				e.stats.DiskMisses++
-			}
-			e.mu.Unlock()
-			if !ok {
-				toRun = append(toRun, idx)
-				continue
-			}
-			out[idx] = Result{Job: j, Pair: pair, CacheHit: true}
-			final := append([]int{idx}, followers[j]...)
-			for _, f := range followers[j] {
-				out[f] = Result{Job: j, Pair: pair, CacheHit: true}
-			}
-			report(final...)
+	owned := make([]Job, len(candidates))
+	nFollowers := make([]int, len(candidates))
+	for k, idx := range candidates {
+		owned[k] = jobs[idx]
+		nFollowers[k] = len(followers[jobs[idx]])
+	}
+	e.execute(ctx, owned, flights, nFollowers, func(k int, r Result) { deliver(candidates[k], r) })
+	return out
+}
+
+// execute runs jobs the caller owns — flights[k] is the caller's own
+// flight for jobs[k] (see flight.go), nFollowers[k] counts that job's
+// in-batch duplicates — and hands each job's final result to deliver(k, r)
+// exactly once. The persistent tier is probed first, outside the engine
+// lock because each probe is file I/O that must not stall concurrent
+// batches; the rest run as one backend batch, reported live when the
+// backend offers RunProgress and from the returned slice (or a
+// synthesized backend-failure result) for anything left over.
+func (e *Engine) execute(ctx context.Context, jobs []Job, flights []*flight, nFollowers []int, deliver func(k int, r Result)) {
+	var mu sync.Mutex
+	published := make([]bool, len(jobs))
+	finish := func(k int, r Result, fromDisk bool) {
+		mu.Lock()
+		again := published[k]
+		published[k] = true
+		mu.Unlock()
+		if !again {
+			deliver(k, e.publish(jobs[k], flights[k], nFollowers[k], r, fromDisk))
 		}
 	}
 
-	if len(toRun) == 0 {
-		return out
-	}
-
-	// Hand the unique uncached jobs to the backend. resolve is called
-	// exactly once per batch index — live from the backend's done
-	// callback when it offers one, and from the returned slice (or a
-	// synthesized backend-failure result) for anything left over — and
-	// fans each result out to the job's in-batch followers.
-	batch := make([]Job, len(toRun))
-	for k, idx := range toRun {
-		batch[k] = jobs[idx]
-	}
-	var resMu sync.Mutex
-	resolved := make([]bool, len(batch))
-	resolve := func(k int, r Result) {
-		resMu.Lock()
-		if resolved[k] {
-			resMu.Unlock()
-			return
-		}
-		resolved[k] = true
-		resMu.Unlock()
-		idx := toRun[k]
-		j := jobs[idx]
-		if r.Skipped {
-			// Never attempted (cancellation or backend failure): do not
-			// cache, so a retry re-runs the job. Completing the flight
-			// without a cache entry tells its waiters the job was
-			// abandoned; they re-join or claim it (flight.go).
-			e.mu.Lock()
-			e.stats.Skipped += 1 + len(followers[j])
-			if fl, ok := e.inflight[j]; ok {
-				e.completeLocked(j, fl)
-			}
-			e.mu.Unlock()
-			out[idx] = Result{Job: j, Err: r.Err, Skipped: true}
-			for _, f := range followers[j] {
-				out[f] = Result{Job: j, Err: r.Err, Skipped: true}
-			}
-		} else if r.Estimated {
-			// Tier-0 answer produced by the backend (a service daemon
-			// running its own estimator). Estimates must never alias
-			// exact results: deliver, but do not publish to the memory
-			// map or the persistent store. The flight completes without
-			// a cache entry, so cross-batch waiters re-run the job —
-			// which the daemon answers from tier 0 again, cheaply.
-			e.mu.Lock()
-			e.stats.EstimatedHits += 1 + len(followers[j])
-			if fl, ok := e.inflight[j]; ok {
-				e.completeLocked(j, fl)
-			}
-			e.mu.Unlock()
-			out[idx] = Result{Job: j, Pair: r.Pair, Estimated: true, ErrorBar: r.ErrorBar}
-			for _, f := range followers[j] {
-				out[f] = Result{Job: j, Pair: r.Pair, Estimated: true, ErrorBar: r.ErrorBar}
-			}
+	var run []int
+	for k, j := range jobs {
+		var pair fame.PairResult
+		if e.store != nil && e.load(JobKey(j), &pair) {
+			finish(k, Result{Pair: pair}, true)
 		} else {
-			e.mu.Lock()
-			e.cache[j] = outcome{pair: r.Pair, err: r.Err}
-			e.stats.Simulated++
-			e.stats.Hits += len(followers[j])
-			if fl, ok := e.inflight[j]; ok {
-				e.completeLocked(j, fl)
-			}
-			e.mu.Unlock()
-			if e.store != nil && r.Err == nil && e.diskPut(j, r.Pair) {
-				e.mu.Lock()
-				e.stats.DiskWrites++
-				e.mu.Unlock()
-			}
-			out[idx] = Result{Job: j, Pair: r.Pair, Err: r.Err}
-			for _, f := range followers[j] {
-				out[f] = Result{Job: j, Pair: r.Pair, Err: r.Err, CacheHit: true}
-			}
+			run = append(run, k)
 		}
-		report(append([]int{idx}, followers[j]...)...)
+	}
+	if len(run) == 0 {
+		return
 	}
 
-	var results []Result
-	var backendErr error
-	if pb, ok := e.backend.(ProgressBackend); ok {
-		results, backendErr = pb.RunProgress(ctx, batch, resolve)
-	} else {
-		results, backendErr = e.backend.Run(ctx, batch)
+	batch := make([]Job, len(run))
+	for i, k := range run {
+		batch[i] = jobs[k]
 	}
-	for k := range batch {
-		if k < len(results) {
-			resolve(k, results[k])
+	done := func(i int, r Result) { finish(run[i], r, false) }
+	var results []Result
+	var err error
+	if pb, ok := e.backend.(ProgressBackend); ok {
+		results, err = pb.RunProgress(ctx, batch, done)
+	} else {
+		results, err = e.backend.Run(ctx, batch)
+	}
+	for i, j := range batch {
+		if i < len(results) {
+			done(i, results[i])
 			continue
 		}
 		// No result for this job: the backend failed before reaching it.
-		err := backendErr
 		if err == nil {
 			err = fmt.Errorf("returned %d results for %d jobs", len(results), len(batch))
 		}
-		resolve(k, Result{Job: batch[k], Err: backendError(e.backend, err), Skipped: true})
+		done(i, Result{Job: j, Err: backendError(e.backend, err), Skipped: true})
 	}
-	return out
+}
+
+// publish records r — job j's answer from the disk tier when fromDisk,
+// from the backend otherwise — and returns the final result for j's
+// owner. One critical section counts it (nFollowers in-batch
+// duplicates included), caches an exact answer in the memory map and
+// completes fl, the caller's own flight, so a waiter woken by fl always
+// finds the answer, or its absence. A fresh successful simulation is
+// then written back to the store.
+func (e *Engine) publish(j Job, fl *flight, nFollowers int, r Result, fromDisk bool) Result {
+	var final Result
+	e.mu.Lock()
+	switch {
+	case fromDisk:
+		final = Result{Job: j, Pair: r.Pair, CacheHit: true}
+		e.stats.Hits += 1 + nFollowers
+	case r.Skipped:
+		// Never attempted (cancellation or backend failure): not cached,
+		// so a retry re-runs the job. Completing the flight without a
+		// cache entry tells its waiters the job was abandoned; they
+		// re-join or claim it (flight.go).
+		final = Result{Job: j, Err: r.Err, Skipped: true}
+		e.stats.Skipped += 1 + nFollowers
+	case r.Estimated:
+		// Tier-0 answer produced by the backend (a service daemon
+		// running its own estimator). Estimates must never alias exact
+		// results, so it is not cached; cross-batch waiters re-run the
+		// job, which the daemon answers from tier 0 again, cheaply.
+		final = Result{Job: j, Pair: r.Pair, Estimated: true, ErrorBar: r.ErrorBar}
+		e.stats.EstimatedHits += 1 + nFollowers
+	default:
+		final = Result{Job: j, Pair: r.Pair, Err: r.Err}
+		e.stats.Simulated++
+		e.stats.Hits += nFollowers
+	}
+	exact := !final.Skipped && !final.Estimated
+	if exact {
+		e.cache[j] = outcome{pair: final.Pair, err: final.Err}
+	}
+	e.completeLocked(j, fl)
+	e.mu.Unlock()
+	if exact && !fromDisk && final.Err == nil && e.store != nil {
+		e.save(JobKey(j), final.Pair)
+	}
+	return final
 }
 
 // ForEach runs fn(i) for every i in [0,n) across the engine's worker
@@ -687,30 +675,37 @@ func JobKey(j Job) cachestore.Key {
 	return cachestore.MustHashValue(jobKeySchema, j)
 }
 
-// diskGet probes the persistent tier for a job's result. Corrupt or
-// undecodable entries read as misses (the store already unlinked them),
-// so the caller recomputes and the write-back restores a clean entry.
-func (e *Engine) diskGet(j Job) (fame.PairResult, bool) {
-	payload, err := e.store.Get(JobKey(j))
-	if err != nil {
-		return fame.PairResult{}, false
+// load decodes key's stored JSON into out, counting the probe in the
+// Disk* stats. Corrupt or undecodable entries read as misses and leave
+// the store, so the caller recomputes and its write-back restores a
+// clean entry.
+func (e *Engine) load(key cachestore.Key, out any) bool {
+	payload, err := e.store.Get(key)
+	ok := err == nil && json.Unmarshal(payload, out) == nil
+	if err == nil && !ok {
+		e.store.Delete(key) // stored JSON no longer matches out's shape
 	}
-	var pair fame.PairResult
-	if json.Unmarshal(payload, &pair) != nil {
-		return fame.PairResult{}, false
+	e.mu.Lock()
+	if ok {
+		e.stats.DiskHits++
+	} else {
+		e.stats.DiskMisses++
 	}
-	return pair, true
+	e.mu.Unlock()
+	return ok
 }
 
-// diskPut persists a successful result, reporting whether it landed.
+// save persists in as key's JSON, counting a write that lands.
 // Persistence is best-effort: a full disk degrades the engine to
 // memory-only caching rather than failing the batch.
-func (e *Engine) diskPut(j Job, pair fame.PairResult) bool {
-	payload, err := json.Marshal(pair)
-	if err != nil {
-		return false
+func (e *Engine) save(key cachestore.Key, in any) {
+	payload, err := json.Marshal(in)
+	if err != nil || e.store.Put(key, payload) != nil {
+		return
 	}
-	return e.store.Put(JobKey(j), payload) == nil
+	e.mu.Lock()
+	e.stats.DiskWrites++
+	e.mu.Unlock()
 }
 
 // Memo routes a non-Job computation through the persistent tier: the
@@ -730,25 +725,12 @@ func (e *Engine) Memo(schema string, keyVal, out any, compute func() error) (hit
 	if err != nil {
 		return false, fmt.Errorf("engine: memo key: %w", err)
 	}
-	if payload, gerr := e.store.Get(key); gerr == nil {
-		if json.Unmarshal(payload, out) == nil {
-			e.mu.Lock()
-			e.stats.DiskHits++
-			e.mu.Unlock()
-			return true, nil
-		}
-		e.store.Delete(key) // stored JSON no longer matches out's shape
+	if e.load(key, out) {
+		return true, nil
 	}
-	e.mu.Lock()
-	e.stats.DiskMisses++
-	e.mu.Unlock()
 	if err := compute(); err != nil {
 		return false, err
 	}
-	if payload, merr := json.Marshal(out); merr == nil && e.store.Put(key, payload) == nil {
-		e.mu.Lock()
-		e.stats.DiskWrites++
-		e.mu.Unlock()
-	}
+	e.save(key, out)
 	return false, nil
 }

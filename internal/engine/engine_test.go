@@ -51,6 +51,17 @@ func testBatch(t testing.TB) []Job {
 	return jobs
 }
 
+// checkAccounting asserts the identity every returned batch leaves in
+// the engine's stats: each submitted job was served exactly one way — a
+// cache hit, a simulation, a skip or a tier-0 estimate.
+func checkAccounting(t testing.TB, e *Engine) {
+	t.Helper()
+	st := e.Stats()
+	if sum := st.Hits + st.Simulated + st.Skipped + st.EstimatedHits; sum != st.Submitted {
+		t.Errorf("stats %+v: hits+simulated+skipped+estimated = %d, want Submitted = %d", st, sum, st.Submitted)
+	}
+}
+
 // TestEngineEquivalence proves worker-count independence: the same batch
 // run serially (1 worker), in parallel (8 workers) and via the Execute
 // reference path yields bit-identical IPC values for every job.
@@ -175,6 +186,7 @@ func TestCacheAccounting(t *testing.T) {
 	if st.Submitted != 7 || st.Simulated != 5 || st.Hits != 2 {
 		t.Errorf("after batch 1: stats %+v, want {Submitted:7 Simulated:5 Hits:2}", st)
 	}
+	checkAccounting(t, e)
 
 	// The whole batch again: everything is served from the cache.
 	res = e.Run(nil, jobs)
@@ -187,6 +199,7 @@ func TestCacheAccounting(t *testing.T) {
 	if st.Submitted != 14 || st.Simulated != 5 || st.Hits != 9 {
 		t.Errorf("after batch 2: stats %+v, want {Submitted:14 Simulated:5 Hits:9}", st)
 	}
+	checkAccounting(t, e)
 
 	if !strings.Contains(st.String(), "5 simulated") {
 		t.Errorf("Stats.String() = %q", st.String())
@@ -257,6 +270,7 @@ func TestRunCancellation(t *testing.T) {
 	if !strings.Contains(st.String(), "skipped") {
 		t.Errorf("Stats.String() hides skipped jobs: %q", st.String())
 	}
+	checkAccounting(t, e)
 
 	// Retry with a live context: completed work is served from the cache.
 	res2 := e.Run(context.Background(), jobs)
@@ -272,6 +286,7 @@ func TestRunCancellation(t *testing.T) {
 	if hits != nDone {
 		t.Errorf("retry reused %d cached jobs, want %d", hits, nDone)
 	}
+	checkAccounting(t, e)
 }
 
 // TestRunPreCancelled: an already-cancelled context runs nothing.

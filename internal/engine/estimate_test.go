@@ -113,6 +113,7 @@ func TestEstimateAlwaysServes(t *testing.T) {
 	if st.Hits != 1 || st.Simulated != 2 {
 		t.Errorf("stats %+v, want the exact path untouched by estimates (1 hit, 2 simulated)", st)
 	}
+	checkAccounting(t, e)
 }
 
 // TestEstimateNeverCached: an estimated answer lands in no cache tier —

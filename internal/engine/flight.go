@@ -1,9 +1,6 @@
 package engine
 
-import (
-	"context"
-	"fmt"
-)
+import "context"
 
 // Cross-batch singleflight.
 //
@@ -15,6 +12,12 @@ import (
 // flight table closes that window: the first batch to see an uncached
 // job owns its flight and runs it, and every concurrent batch
 // submitting the same job joins the flight and waits instead.
+//
+// Ownership rule: each owner — a batch's candidate or a claimer —
+// completes only its own flight, never whatever flight is registered
+// for the job by then, and a claimer registers its flight only when
+// none is registered for the job. So every registered flight has
+// exactly one owner, which closes it exactly once.
 //
 // The owner completes a flight (closes done, unregisters it) inside
 // the same e.mu critical section that publishes the result to the
@@ -44,9 +47,9 @@ type joinWait struct {
 const maxJoinRetries = 4
 
 // completeLocked closes fl (waking its waiters) and unregisters it if
-// it is still j's registered flight. The caller must hold e.mu and must
-// have published j's outcome — or decided not to — in the same
-// critical section.
+// it is still j's registered flight. The caller must hold e.mu, must
+// own fl (the ownership rule above) and must have published j's
+// outcome — or decided not to — in the same critical section.
 func (e *Engine) completeLocked(j Job, fl *flight) {
 	close(fl.done)
 	if e.inflight[j] == fl {
@@ -55,11 +58,13 @@ func (e *Engine) completeLocked(j Job, fl *flight) {
 }
 
 // awaitFlight waits for another batch's in-flight computation of j,
-// then serves the cached outcome through finish (which delivers to the
+// then serves the cached outcome through deliver (which delivers to the
 // waiter's batch index and its in-batch followers). If the owner
 // abandoned the job, the waiter re-joins the replacement flight when
-// one exists, or claims the job and runs it on the backend itself.
-func (e *Engine) awaitFlight(ctx context.Context, j Job, fl *flight, nFollowers int, finish func(Result)) {
+// one exists, or claims the job and executes it itself. A claimer past
+// maxJoinRetries runs the job without registering its flight when a
+// live one is registered, leaving that flight to its own owner.
+func (e *Engine) awaitFlight(ctx context.Context, j Job, fl *flight, nFollowers int, deliver func(Result)) {
 	for attempt := 0; ; attempt++ {
 		select {
 		case <-fl.done:
@@ -67,91 +72,29 @@ func (e *Engine) awaitFlight(ctx context.Context, j Job, fl *flight, nFollowers 
 			e.mu.Lock()
 			e.stats.Skipped += 1 + nFollowers
 			e.mu.Unlock()
-			finish(Result{Job: j, Err: ctx.Err(), Skipped: true})
+			deliver(Result{Job: j, Err: ctx.Err(), Skipped: true})
 			return
 		}
 		e.mu.Lock()
 		if oc, ok := e.cache[j]; ok {
 			e.stats.Hits += 1 + nFollowers
 			e.mu.Unlock()
-			finish(Result{Job: j, Pair: oc.pair, Err: oc.err, CacheHit: true, Coalesced: true})
+			deliver(Result{Job: j, Pair: oc.pair, Err: oc.err, CacheHit: true, Coalesced: true})
 			return
 		}
 		// The owner abandoned the job without caching it.
-		if nfl, ok := e.inflight[j]; ok && nfl != fl && attempt < maxJoinRetries {
-			fl = nfl
+		live, ok := e.inflight[j]
+		if ok && attempt < maxJoinRetries {
+			fl = live
 			e.mu.Unlock()
 			continue
 		}
 		mine := &flight{done: make(chan struct{})}
-		e.inflight[j] = mine
-		e.mu.Unlock()
-		e.runClaimed(ctx, j, mine, nFollowers, finish)
-		return
-	}
-}
-
-// runClaimed executes a claimed job and publishes its outcome exactly
-// as resolve does for a batch candidate: probe the disk tier, run on
-// the backend, cache non-skipped results — completing fl in the same
-// locked section — and deliver through finish.
-func (e *Engine) runClaimed(ctx context.Context, j Job, fl *flight, nFollowers int, finish func(Result)) {
-	if e.store != nil {
-		pair, ok := e.diskGet(j)
-		e.mu.Lock()
-		if ok {
-			e.cache[j] = outcome{pair: pair}
-			e.stats.Hits += 1 + nFollowers
-			e.stats.DiskHits++
-			e.completeLocked(j, fl)
-			e.mu.Unlock()
-			finish(Result{Job: j, Pair: pair, CacheHit: true})
-			return
+		if !ok {
+			e.inflight[j] = mine
 		}
-		e.stats.DiskMisses++
 		e.mu.Unlock()
-	}
-
-	res, err := e.backend.Run(ctx, []Job{j})
-	var r Result
-	if len(res) >= 1 {
-		r = res[0]
-	} else {
-		if err == nil {
-			err = fmt.Errorf("returned %d results for 1 job", len(res))
-		}
-		r = Result{Job: j, Err: backendError(e.backend, err), Skipped: true}
-	}
-
-	if r.Skipped {
-		e.mu.Lock()
-		e.stats.Skipped += 1 + nFollowers
-		e.completeLocked(j, fl)
-		e.mu.Unlock()
-		finish(Result{Job: j, Err: r.Err, Skipped: true})
+		e.execute(ctx, []Job{j}, []*flight{mine}, []int{nFollowers}, func(_ int, r Result) { deliver(r) })
 		return
 	}
-	if r.Estimated {
-		// The backend answered from its own tier 0: deliver without
-		// caching, exactly as resolve does (estimates never alias exact
-		// results under JobKey).
-		e.mu.Lock()
-		e.stats.EstimatedHits += 1 + nFollowers
-		e.completeLocked(j, fl)
-		e.mu.Unlock()
-		finish(Result{Job: j, Pair: r.Pair, Estimated: true, ErrorBar: r.ErrorBar})
-		return
-	}
-	e.mu.Lock()
-	e.cache[j] = outcome{pair: r.Pair, err: r.Err}
-	e.stats.Simulated++
-	e.stats.Hits += nFollowers
-	e.completeLocked(j, fl)
-	e.mu.Unlock()
-	if e.store != nil && r.Err == nil && e.diskPut(j, r.Pair) {
-		e.mu.Lock()
-		e.stats.DiskWrites++
-		e.mu.Unlock()
-	}
-	finish(Result{Job: j, Pair: r.Pair, Err: r.Err})
 }

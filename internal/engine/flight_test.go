@@ -20,6 +20,9 @@ import (
 type gatedBackend struct {
 	gate    chan struct{} // first Run blocks on it when set
 	started chan struct{} // closed when the first Run begins
+	// answer synthesizes Run call n's (from 1) result for a job; nil
+	// answers every job with a plain success.
+	answer func(n int, j Job) Result
 
 	once sync.Once
 	mu   sync.Mutex
@@ -34,10 +37,10 @@ func (g *gatedBackend) Healthy(context.Context) error { return nil }
 func (g *gatedBackend) Run(ctx context.Context, jobs []Job) ([]Result, error) {
 	g.mu.Lock()
 	g.runs++
-	first := g.runs == 1
+	n := g.runs
 	g.jobs += len(jobs)
 	g.mu.Unlock()
-	if first {
+	if n == 1 {
 		g.once.Do(func() {
 			if g.started != nil {
 				close(g.started)
@@ -58,6 +61,9 @@ func (g *gatedBackend) Run(ctx context.Context, jobs []Job) ([]Result, error) {
 	out := make([]Result, len(jobs))
 	for i, j := range jobs {
 		out[i] = Result{Job: j}
+		if g.answer != nil {
+			out[i] = g.answer(n, j)
+		}
 	}
 	return out, nil
 }
@@ -134,6 +140,7 @@ func TestFlightCoalescesConcurrentBatches(t *testing.T) {
 	if st.Simulated != 1 || st.Coalesced != 1 || st.Hits != 2 {
 		t.Fatalf("stats %+v, want 1 simulated, 1 coalesced, 2 hits", st)
 	}
+	checkAccounting(t, e)
 }
 
 // TestFlightOwnerAbandonedWaiterClaims pins the abandonment hand-off: a
@@ -186,6 +193,7 @@ func TestFlightOwnerAbandonedWaiterClaims(t *testing.T) {
 	if !res[0].CacheHit || res[0].Err != nil {
 		t.Fatalf("post-claim resubmission = %+v, want a cache hit", res[0])
 	}
+	checkAccounting(t, e)
 }
 
 // TestFlightSequentialBatchesDoNotCoalesce guards the bookkeeping: once
@@ -211,4 +219,118 @@ func TestFlightSequentialBatchesDoNotCoalesce(t *testing.T) {
 	if st := e.Stats(); st.Coalesced != 0 {
 		t.Fatalf("sequential batches coalesced: stats %+v", st)
 	}
+}
+
+// TestFlightOwnerCompletesOnlyItsOwnFlight pins the ownership rule: a
+// batch that registered a job's flight completes that flight, not
+// whatever flight is registered for the job when its result lands. The
+// swap below is what a claimer past maxJoinRetries used to do to a live
+// flight; completing the registered flight instead left the joiners of
+// the swapped-out one waiting forever.
+func TestFlightOwnerCompletesOnlyItsOwnFlight(t *testing.T) {
+	j := flightJob(t)
+	gb := &gatedBackend{gate: make(chan struct{}), started: make(chan struct{})}
+	e := NewWith(0, nil, WithBackend(gb))
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		e.Run(nil, []Job{j})
+	}()
+	<-gb.started
+
+	joined := make(chan []Result, 1)
+	go func() { joined <- e.Run(nil, []Job{j}) }()
+	waitFor(t, func() bool { return e.Stats().Coalesced == 1 }, "the second batch to join the flight")
+
+	fresh := &flight{done: make(chan struct{})}
+	e.mu.Lock()
+	own := e.inflight[j]
+	e.inflight[j] = fresh
+	e.mu.Unlock()
+
+	close(gb.gate)
+	select {
+	case res := <-joined:
+		if res[0].Err != nil || !res[0].CacheHit || !res[0].Coalesced {
+			t.Fatalf("joined result = %+v, want a coalesced cache hit", res[0])
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the joiner never returned: its flight was not completed")
+	}
+	wg.Wait()
+
+	select {
+	case <-own.done:
+	default:
+		t.Error("the owner did not complete the flight it registered")
+	}
+	select {
+	case <-fresh.done:
+		t.Error("the owner completed a flight it did not register")
+	default:
+	}
+	e.mu.Lock()
+	registered := e.inflight[j]
+	e.mu.Unlock()
+	if registered != fresh {
+		t.Error("the owner unregistered a flight it did not register")
+	}
+	checkAccounting(t, e)
+}
+
+// TestFlightClaimedEstimateDuplicates pins the flag rule for in-batch
+// duplicates on the claim path: when a waiter claims an abandoned job
+// and the backend answers it from tier 0, the duplicate is an estimate
+// like its first occurrence, not a cache hit.
+func TestFlightClaimedEstimateDuplicates(t *testing.T) {
+	j := flightJob(t)
+	const bar = 0.125
+	gb := &gatedBackend{
+		gate:    make(chan struct{}),
+		started: make(chan struct{}),
+		answer: func(n int, j Job) Result {
+			if n == 1 {
+				return Result{Job: j, Err: errors.New("worker lost"), Skipped: true}
+			}
+			return Result{Job: j, Estimated: true, ErrorBar: bar}
+		},
+	}
+	e := NewWith(0, nil, WithBackend(gb))
+
+	var wg sync.WaitGroup
+	var resA, resB []Result
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		resA = e.Run(nil, []Job{j})
+	}()
+	<-gb.started
+
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		resB = e.Run(nil, []Job{j, j})
+	}()
+	waitFor(t, func() bool { return e.Stats().Coalesced == 1 }, "batch B to join the flight")
+	close(gb.gate)
+	wg.Wait()
+
+	if !resA[0].Skipped {
+		t.Fatalf("owner result = %+v, want skipped", resA[0])
+	}
+	if runs, _ := gb.counts(); runs != 2 {
+		t.Fatalf("backend saw %d runs, want 2 (owner's skipped run + waiter's claim)", runs)
+	}
+	for i, r := range resB {
+		if !r.Estimated || r.ErrorBar != bar || r.CacheHit || r.Skipped || r.Err != nil {
+			t.Errorf("batch B result %d: Estimated=%v ErrorBar=%v CacheHit=%v Skipped=%v Err=%v, want an estimate with error bar %v and no cache hit",
+				i, r.Estimated, r.ErrorBar, r.CacheHit, r.Skipped, r.Err, bar)
+		}
+	}
+	if st := e.Stats(); st.EstimatedHits != 2 || st.Skipped != 1 {
+		t.Errorf("stats %+v, want 2 estimated hits, 1 skipped", st)
+	}
+	checkAccounting(t, e)
 }
