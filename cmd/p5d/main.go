@@ -20,13 +20,17 @@
 // workers die and rejoin, and the daemon requeues the jobs a failed
 // worker dropped.
 //
-// Every daemon carries the tier-0 analytical estimator: a submission
-// with an estimate spec (service.WithEstimate client-side) is answered
-// from the calibrated model when its error bar fits, without
-// simulating; -estimate sets the default policy for submissions that
-// carry no spec (off keeps the daemon exact, the seed behaviour).
-// Estimated results are flagged on the wire with their error bar and
-// never enter any cache tier.
+// Every daemon carries the tier-0 analytical estimator, and it is the
+// tier 0 of every client that talks to it: clients run no estimator of
+// their own, and each job travels in a submission whose estimate spec
+// is that job's own mode (power5prio.Spec.Estimate, p5exp/p5sim
+// -estimate). A job is answered from the calibrated model when its
+// error bar fits its spec, without simulating; an empty spec demands
+// exact answers. -estimate sets the default policy only for
+// submissions that carry no spec (off keeps the daemon exact).
+// Calibrations persist in -cache-dir, so they survive restarts and are
+// shared by every client. Estimated results are flagged on the wire
+// with their error bar and never enter any cache tier.
 //
 // GET /v1/stats reports queue depth, tenant count, cache-tier and
 // estimator counters, a per-client answer-tier breakdown, and

@@ -95,11 +95,14 @@ func main() {
 	h.Engine = engine.NewWith(*workers, nil, engOpts...)
 	// Tier 0 sits in front of every cache tier and the backend alike:
 	// with -estimate, jobs the model can answer within tolerance never
-	// reach simulation (local or -submit). Off — or a zero
-	// tolerance — leaves every experiment byte-identical to a run
-	// without the flag.
+	// reach simulation. Locally the engine runs the model itself; with
+	// -submit the mode travels with each job and the daemon's model
+	// answers. Off — or a zero tolerance — leaves every experiment
+	// byte-identical to a run without the flag.
 	if estMode.Enabled {
-		h.Engine.SetEstimator(analytic.New(h.Engine))
+		if _, ok := h.Engine.Backend().(engine.EstimateBackend); !ok {
+			h.Engine.SetEstimator(analytic.New(h.Engine))
+		}
 		h.Engine.SetEstimateMode(estMode)
 	}
 	// exit reports the engine stats before terminating: os.Exit skips

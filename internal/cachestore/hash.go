@@ -5,9 +5,11 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"hash"
 	"math"
 	"reflect"
+	"strconv"
+	"strings"
+	"sync"
 )
 
 // Key identifies one stored entry: a SHA-256 over the canonical encoding
@@ -42,14 +44,23 @@ func (k Key) IsZero() bool { return k == Key{} }
 //     field must be given an explicit stable digest (the way
 //     workload.Ref fingerprints kernel content) before it can be part of
 //     a key.
+//
+// The whole encoding is appended into one pooled buffer and hashed in a
+// single pass; each struct type's header and field-name bytes are
+// encoded once per process, so hashing a value allocates nothing beyond
+// what boxing it into an any costs.
 func HashValue(schema string, v any) (Key, error) {
-	h := sha256.New()
-	writeString(h, schema)
-	if err := encodeValue(h, reflect.ValueOf(v), "value"); err != nil {
-		return Key{}, err
-	}
+	bp := bufPool.Get().(*[]byte)
+	buf, bad := appendValue(appendString((*bp)[:0], schema), reflect.ValueOf(v))
 	var k Key
-	h.Sum(k[:0])
+	if bad == nil {
+		k = sha256.Sum256(buf)
+	}
+	*bp = buf
+	bufPool.Put(bp)
+	if bad != nil {
+		return Key{}, bad.err()
+	}
 	return k, nil
 }
 
@@ -64,67 +75,111 @@ func MustHashValue(schema string, v any) Key {
 	return k
 }
 
-// writeString writes a length-prefixed string.
-func writeString(h hash.Hash, s string) {
-	writeUint64(h, uint64(len(s)))
-	h.Write([]byte(s))
+// bufPool recycles encoding buffers across HashValue calls.
+var bufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// appendString appends a length-prefixed string.
+func appendString(buf []byte, s string) []byte {
+	return append(appendUint64(buf, uint64(len(s))), s...)
 }
 
-// writeUint64 writes a fixed-width little-endian word.
-func writeUint64(h hash.Hash, v uint64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	h.Write(buf[:])
+// appendUint64 appends a fixed-width little-endian word.
+func appendUint64(buf []byte, v uint64) []byte {
+	return binary.LittleEndian.AppendUint64(buf, v)
 }
 
-// encodeValue canonically encodes one value. path names the value's
-// position for error messages ("value.Chip.Mem.LatL2").
-func encodeValue(h hash.Hash, v reflect.Value, path string) error {
-	if !v.IsValid() {
-		return fmt.Errorf("cachestore: cannot hash invalid value at %s", path)
+// structInfo is the constant part of a struct type's encoding: the
+// header and, per field, its name and type, in declaration order.
+type structInfo struct {
+	header []byte
+	fields []fieldInfo
+}
+
+type fieldInfo struct {
+	name   string
+	prefix []byte
+}
+
+// structInfos caches each struct type's structInfo (reflect.Type ->
+// *structInfo). Entries are pure functions of the type, so a race to
+// fill one stores equal values.
+var structInfos sync.Map
+
+func structInfoOf(t reflect.Type) *structInfo {
+	if si, ok := structInfos.Load(t); ok {
+		return si.(*structInfo)
 	}
-	// Unwrap interface values (e.g. the any parameter itself).
-	if v.Kind() == reflect.Interface && path == "value" && !v.IsNil() {
-		return encodeValue(h, v.Elem(), path)
+	si := &structInfo{fields: make([]fieldInfo, t.NumField())}
+	si.header = appendUint64(appendString(appendString(nil, "struct"), t.String()), uint64(t.NumField()))
+	for i := range si.fields {
+		f := t.Field(i)
+		si.fields[i] = fieldInfo{name: f.Name, prefix: appendString(appendString(nil, f.Name), f.Type.String())}
 	}
+	structInfos.Store(t, si)
+	return si
+}
+
+// unhashable reports a value HashValue cannot encode. Its position is
+// collected innermost-first while the encoder unwinds, so the common,
+// successful path never builds a path string.
+type unhashable struct {
+	kind reflect.Kind // reflect.Invalid for an invalid value
+	segs []string     // path segments below "value", innermost first
+}
+
+func (u *unhashable) err() error {
+	var path strings.Builder
+	path.WriteString("value")
+	for i := len(u.segs) - 1; i >= 0; i-- {
+		path.WriteString(u.segs[i])
+	}
+	if u.kind == reflect.Invalid {
+		return fmt.Errorf("cachestore: cannot hash invalid value at %s", path.String())
+	}
+	return fmt.Errorf("cachestore: cannot hash %s at %s (give the field an explicit stable digest instead)", u.kind, path.String())
+}
+
+// appendValue appends v's canonical encoding to buf.
+func appendValue(buf []byte, v reflect.Value) ([]byte, *unhashable) {
 	switch v.Kind() {
+	case reflect.Invalid:
+		return buf, &unhashable{kind: reflect.Invalid}
 	case reflect.Bool:
 		if v.Bool() {
-			writeUint64(h, 1)
-		} else {
-			writeUint64(h, 0)
+			return appendUint64(buf, 1), nil
 		}
+		return appendUint64(buf, 0), nil
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		writeUint64(h, uint64(v.Int()))
+		return appendUint64(buf, uint64(v.Int())), nil
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
-		writeUint64(h, v.Uint())
+		return appendUint64(buf, v.Uint()), nil
 	case reflect.Float32, reflect.Float64:
-		writeUint64(h, math.Float64bits(v.Float()))
+		return appendUint64(buf, math.Float64bits(v.Float())), nil
 	case reflect.String:
-		writeString(h, v.String())
+		return appendString(buf, v.String()), nil
 	case reflect.Array:
-		writeString(h, "array")
-		writeUint64(h, uint64(v.Len()))
+		buf = appendUint64(appendString(buf, "array"), uint64(v.Len()))
 		for i := 0; i < v.Len(); i++ {
-			if err := encodeValue(h, v.Index(i), fmt.Sprintf("%s[%d]", path, i)); err != nil {
-				return err
+			var bad *unhashable
+			if buf, bad = appendValue(buf, v.Index(i)); bad != nil {
+				bad.segs = append(bad.segs, "["+strconv.Itoa(i)+"]")
+				return buf, bad
 			}
 		}
+		return buf, nil
 	case reflect.Struct:
-		t := v.Type()
-		writeString(h, "struct")
-		writeString(h, t.String())
-		writeUint64(h, uint64(t.NumField()))
-		for i := 0; i < t.NumField(); i++ {
-			f := t.Field(i)
-			writeString(h, f.Name)
-			writeString(h, f.Type.String())
-			if err := encodeValue(h, v.Field(i), path+"."+f.Name); err != nil {
-				return err
+		si := structInfoOf(v.Type())
+		buf = append(buf, si.header...)
+		for i, f := range si.fields {
+			buf = append(buf, f.prefix...)
+			var bad *unhashable
+			if buf, bad = appendValue(buf, v.Field(i)); bad != nil {
+				bad.segs = append(bad.segs, "."+f.name)
+				return buf, bad
 			}
 		}
+		return buf, nil
 	default:
-		return fmt.Errorf("cachestore: cannot hash %s at %s (give the field an explicit stable digest instead)", v.Kind(), path)
+		return buf, &unhashable{kind: v.Kind()}
 	}
-	return nil
 }

@@ -51,6 +51,22 @@ type ProgressBackend interface {
 	RunProgress(ctx context.Context, jobs []Job, done func(i int, r Result)) ([]Result, error)
 }
 
+// EstimateBackend is optionally implemented by backends that run their
+// own tier 0 (a p5d daemon client). An engine with no estimator of its
+// own delegates estimation to such a backend: jobs whose mode can
+// accept an estimate reach it carrying that mode instead of escalating
+// locally. RunEstimate is RunProgress with a mode per job: modes[i] is
+// jobs[i]'s acceptance mode, and the zero mode demands an exact answer.
+// A backend may answer jobs[i] with an Estimated result only when
+// modes[i] serves its ErrorBar; the engine counts an estimate outside
+// its job's mode as a backend failure. The engine calls RunEstimate
+// only for batches that carry per-job modes or run under an enabled
+// default mode, and RunProgress otherwise.
+type EstimateBackend interface {
+	ProgressBackend
+	RunEstimate(ctx context.Context, jobs []Job, modes []EstimateMode, done func(i int, r Result)) ([]Result, error)
+}
+
 // RemoteStats counts work done through remote backends; see Stats.
 type RemoteStats struct {
 	// Jobs executed by remote workers (a worker serving a job from its

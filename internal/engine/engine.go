@@ -36,6 +36,7 @@ package engine
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -156,6 +157,8 @@ type Stats struct {
 	// EstimatedEscalated are jobs that asked for a tier-0 answer but
 	// fell through to the exact path: the model declined them, its error
 	// bar exceeded the caller's tolerance, or the tolerance was zero.
+	// A job delegated to an EstimateBackend's tier 0 is never counted
+	// here; the backend counts its escalations itself.
 	EstimatedEscalated int
 	// Remote counts work done through a remote backend (all zero on the
 	// default local backend).
@@ -329,6 +332,11 @@ func (e *Engine) RunFunc(ctx context.Context, jobs []Job, progress func(i int, r
 // unchanged. modes must be nil — every job uses the engine's default
 // mode (SetEstimateMode) — or exactly len(jobs) long, where a zero mode
 // means off for that job.
+//
+// An engine with no estimator whose backend is an EstimateBackend
+// delegates tier 0 instead: a job whose mode can accept an estimate
+// takes the cache tiers and the backend like any other, carrying its
+// mode, and only jobs with the same mode share its answer.
 func (e *Engine) RunEstimate(ctx context.Context, jobs []Job, modes []EstimateMode, progress func(i int, r Result)) []Result {
 	if ctx == nil {
 		ctx = context.Background()
@@ -348,6 +356,13 @@ func (e *Engine) RunEstimate(ctx context.Context, jobs []Job, modes []EstimateMo
 	est := e.estimator
 	defMode := e.estMode
 	e.mu.Unlock()
+	// backendModes is each job's mode as the backend receives it: nil
+	// when the batch sends no modes, otherwise the job's own mode if it
+	// is delegated to the backend's tier 0 and exact-only if not.
+	var backendModes []EstimateMode
+	if _, ok := e.backend.(EstimateBackend); ok && (modes != nil || defMode.Enabled) {
+		backendModes = make([]EstimateMode, len(jobs))
+	}
 	served := make([]bool, len(jobs))
 	var estHits, estEscalated []int
 	for i, j := range jobs {
@@ -356,6 +371,10 @@ func (e *Engine) RunEstimate(ctx context.Context, jobs []Job, modes []EstimateMo
 			m = modes[i]
 		}
 		if !m.Enabled {
+			continue
+		}
+		if est == nil && backendModes != nil && m.canServe() {
+			backendModes[i] = m
 			continue
 		}
 		if est == nil || !m.canServe() {
@@ -371,14 +390,34 @@ func (e *Engine) RunEstimate(ctx context.Context, jobs []Job, modes []EstimateMo
 			estEscalated = append(estEscalated, i)
 		}
 	}
+	// A delegated job may come back estimated, which only jobs with its
+	// mode may share, so its in-batch duplicates are keyed by mode too;
+	// every other job's key carries the zero mode.
+	keyOf := func(i int) batchKey {
+		if backendModes == nil {
+			return batchKey{job: jobs[i]}
+		}
+		return batchKey{job: jobs[i], mode: backendModes[i]}
+	}
+	modesOf := func(idx ...int) []EstimateMode {
+		if backendModes == nil {
+			return nil
+		}
+		ms := make([]EstimateMode, len(idx))
+		for k, i := range idx {
+			ms[k] = backendModes[i]
+		}
+		return ms
+	}
 
 	// Partition under the lock: memory-cache hits resolve immediately;
 	// the first occurrence of each uncached job becomes a candidate —
 	// registering a flight so concurrent batches coalesce onto it — or,
-	// when another batch already has the job in flight, a joiner that
-	// waits for that flight instead of re-submitting the job. Later
-	// duplicates wait for their first occurrence. followers is
-	// read-only once the backend starts.
+	// when a flight for the job is already registered (by another batch,
+	// or by this one under another mode), a joiner that waits for that
+	// flight instead of re-submitting the job. Later duplicates wait for
+	// their first occurrence. followers is read-only once the backend
+	// starts.
 	e.mu.Lock()
 	e.stats.Submitted += len(jobs)
 	e.stats.EstimatedHits += len(estHits)
@@ -386,7 +425,7 @@ func (e *Engine) RunEstimate(ctx context.Context, jobs []Job, modes []EstimateMo
 	var candidates []int
 	var flights []*flight
 	var joiners []joinWait
-	followers := make(map[Job][]int)
+	followers := make(map[batchKey][]int)
 	var hitIdx []int
 	for i, j := range jobs {
 		if served[i] {
@@ -398,11 +437,12 @@ func (e *Engine) RunEstimate(ctx context.Context, jobs []Job, modes []EstimateMo
 			hitIdx = append(hitIdx, i)
 			continue
 		}
-		if _, ok := followers[j]; ok {
-			followers[j] = append(followers[j], i)
+		k := keyOf(i)
+		if _, ok := followers[k]; ok {
+			followers[k] = append(followers[k], i)
 			continue
 		}
-		followers[j] = []int{}
+		followers[k] = []int{}
 		if fl, ok := e.inflight[j]; ok {
 			joiners = append(joiners, joinWait{idx: i, fl: fl})
 			e.stats.Coalesced++
@@ -435,7 +475,7 @@ func (e *Engine) RunEstimate(ctx context.Context, jobs []Job, modes []EstimateMo
 	// never cached).
 	deliver := func(idx int, r Result) {
 		out[idx] = r
-		dups := followers[jobs[idx]]
+		dups := followers[keyOf(idx)]
 		for _, f := range dups {
 			out[f] = r
 			out[f].CacheHit = !r.Skipped && !r.Estimated
@@ -445,14 +485,15 @@ func (e *Engine) RunEstimate(ctx context.Context, jobs []Job, modes []EstimateMo
 
 	// Joined jobs wait concurrently with this batch's own backend work:
 	// each waiter serves its flight's cached outcome when it lands, or
-	// claims the job if the owning batch abandons it (see flight.go).
+	// claims the job — under its own mode — if the owning batch abandons
+	// it or answers with an estimate (see flight.go).
 	var joinWG sync.WaitGroup
 	for _, jn := range joiners {
 		joinWG.Add(1)
 		go func(jn joinWait) {
 			defer joinWG.Done()
-			j := jobs[jn.idx]
-			e.awaitFlight(ctx, j, jn.fl, len(followers[j]), func(r Result) { deliver(jn.idx, r) })
+			e.awaitFlight(ctx, jobs[jn.idx], modesOf(jn.idx), jn.fl, len(followers[keyOf(jn.idx)]),
+				func(r Result) { deliver(jn.idx, r) })
 		}(jn)
 	}
 	defer joinWG.Wait()
@@ -461,21 +502,29 @@ func (e *Engine) RunEstimate(ctx context.Context, jobs []Job, modes []EstimateMo
 	nFollowers := make([]int, len(candidates))
 	for k, idx := range candidates {
 		owned[k] = jobs[idx]
-		nFollowers[k] = len(followers[jobs[idx]])
+		nFollowers[k] = len(followers[keyOf(idx)])
 	}
-	e.execute(ctx, owned, flights, nFollowers, func(k int, r Result) { deliver(candidates[k], r) })
+	e.execute(ctx, owned, modesOf(candidates...), flights, nFollowers, func(k int, r Result) { deliver(candidates[k], r) })
 	return out
+}
+
+// batchKey identifies a job's in-batch duplicates: the job, plus its
+// mode when the job is delegated to the backend's tier 0.
+type batchKey struct {
+	job  Job
+	mode EstimateMode
 }
 
 // execute runs jobs the caller owns — flights[k] is the caller's own
 // flight for jobs[k] (see flight.go), nFollowers[k] counts that job's
-// in-batch duplicates — and hands each job's final result to deliver(k, r)
-// exactly once. The persistent tier is probed first, outside the engine
-// lock because each probe is file I/O that must not stall concurrent
-// batches; the rest run as one backend batch, reported live when the
-// backend offers RunProgress and from the returned slice (or a
-// synthesized backend-failure result) for anything left over.
-func (e *Engine) execute(ctx context.Context, jobs []Job, flights []*flight, nFollowers []int, deliver func(k int, r Result)) {
+// in-batch duplicates, and modes (nil, or one per job) are the modes
+// the EstimateBackend receives — and hands each job's final result to
+// deliver(k, r) exactly once. The persistent tier is probed first,
+// outside the engine lock because each probe is file I/O that must not
+// stall concurrent batches; the rest run as one backend batch, reported
+// live when the backend offers RunProgress and from the returned slice
+// (or a synthesized backend-failure result) for anything left over.
+func (e *Engine) execute(ctx context.Context, jobs []Job, modes []EstimateMode, flights []*flight, nFollowers []int, deliver func(k int, r Result)) {
 	var mu sync.Mutex
 	published := make([]bool, len(jobs))
 	finish := func(k int, r Result, fromDisk bool) {
@@ -505,10 +554,21 @@ func (e *Engine) execute(ctx context.Context, jobs []Job, flights []*flight, nFo
 	for i, k := range run {
 		batch[i] = jobs[k]
 	}
-	done := func(i int, r Result) { finish(run[i], r, false) }
+	done := func(i int, r Result) {
+		if r.Estimated && modes != nil && !modes[run[i]].serves(r.ErrorBar) {
+			r = Result{Job: batch[i], Err: backendError(e.backend, errors.New("estimate outside the job's mode")), Skipped: true}
+		}
+		finish(run[i], r, false)
+	}
 	var results []Result
 	var err error
-	if pb, ok := e.backend.(ProgressBackend); ok {
+	if eb, ok := e.backend.(EstimateBackend); ok && modes != nil {
+		batchModes := make([]EstimateMode, len(run))
+		for i, k := range run {
+			batchModes[i] = modes[k]
+		}
+		results, err = eb.RunEstimate(ctx, batch, batchModes, done)
+	} else if pb, ok := e.backend.(ProgressBackend); ok {
 		results, err = pb.RunProgress(ctx, batch, done)
 	} else {
 		results, err = e.backend.Run(ctx, batch)
@@ -550,8 +610,9 @@ func (e *Engine) publish(j Job, fl *flight, nFollowers int, r Result, fromDisk b
 	case r.Estimated:
 		// Tier-0 answer produced by the backend (a service daemon
 		// running its own estimator). Estimates must never alias exact
-		// results, so it is not cached; cross-batch waiters re-run the
-		// job, which the daemon answers from tier 0 again, cheaply.
+		// results, so it is not cached; each waiter on fl claims the job
+		// under its own mode, so only a mode that accepts an estimate
+		// gets one (from the daemon's tier 0 again, cheaply).
 		final = Result{Job: j, Pair: r.Pair, Estimated: true, ErrorBar: r.ErrorBar}
 		e.stats.EstimatedHits += 1 + nFollowers
 	default:

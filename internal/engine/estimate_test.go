@@ -255,3 +255,42 @@ func TestEstimateWithoutEstimator(t *testing.T) {
 		t.Errorf("stats %+v, want 1 escalated, 1 simulated", s)
 	}
 }
+
+// TestDelegatedEstimateModes: an engine without an estimator whose
+// backend runs its own tier 0 sends each job with its mode, and no job
+// gets an estimate its own mode rejects — not even from an in-batch
+// duplicate under another mode, which claims the job instead.
+func TestDelegatedEstimateModes(t *testing.T) {
+	j := testBatch(t)[2]
+	tb := &tierZeroBackend{bar: 0.25}
+	e := NewWith(0, nil, WithBackend(tb))
+	res := e.RunEstimate(nil, []Job{j, j, j}, []EstimateMode{EstimateAlways(), EstimateOff(), EstimateAlways()}, nil)
+
+	if !res[0].Estimated || res[0].ErrorBar != 0.25 || res[0].CacheHit {
+		t.Errorf("Always job = %+v, want an uncached estimate", res[0])
+	}
+	if r := res[1]; r.Err != nil || r.Estimated || r.CacheHit || r.Pair.Thread[0].IPC == 42 {
+		t.Errorf("off job = %+v, want an exact answer that is not a cache hit", r)
+	}
+	if !res[2].Estimated || res[2].CacheHit {
+		t.Errorf("duplicate Always job = %+v, want the first occurrence's estimate", res[2])
+	}
+	sent := tb.modesSent()
+	if len(sent) != 2 || len(sent[0]) != 1 || sent[0][0] != EstimateAlways() || len(sent[1]) != 1 || sent[1][0] != EstimateOff() {
+		t.Errorf("backend received modes %+v, want [[always] [off]]", sent)
+	}
+	if st := e.Stats(); st.EstimatedHits != 2 || st.Simulated != 1 || st.EstimatedEscalated != 0 {
+		t.Errorf("stats %+v, want 2 estimated, 1 simulated, none escalated locally", st)
+	}
+	checkAccounting(t, e)
+
+	// A backend that answers outside a job's mode fails that job
+	// instead of serving the estimate.
+	j2 := testBatch(t)[3]
+	liar := NewWith(0, nil, WithBackend(&tierZeroBackend{bar: 0.25, lie: true}))
+	r := liar.RunEstimate(nil, []Job{j2}, []EstimateMode{EstimateTolerance(0.1)}, nil)[0]
+	if r.Estimated || !r.Skipped || r.Err == nil {
+		t.Errorf("estimate outside the job's mode = %+v, want a skipped backend failure", r)
+	}
+	checkAccounting(t, liar)
+}

@@ -24,10 +24,12 @@ import "context"
 // memory cache, so a woken waiter re-checking the cache under the lock
 // always observes the published result — or its absence, which means
 // the owner abandoned the job (cancelled batch, failed backend;
-// Skipped results are never cached). An abandoned job must not fail
-// the waiters coalesced onto it: each waiter either joins the
-// replacement flight some other batch has registered by then, or
-// claims the job and runs it itself.
+// Skipped results are never cached) or answered it with an estimate
+// from the backend's tier 0 (never cached either, and not for a waiter
+// whose mode may reject it). An uncached outcome must not fail the
+// waiters coalesced onto it: each waiter either joins the replacement
+// flight some other batch has registered by then, or claims the job
+// and runs it itself, under its own estimate mode.
 
 // flight is one in-progress computation of a job, shared across
 // concurrent Run batches.
@@ -60,11 +62,13 @@ func (e *Engine) completeLocked(j Job, fl *flight) {
 // awaitFlight waits for another batch's in-flight computation of j,
 // then serves the cached outcome through deliver (which delivers to the
 // waiter's batch index and its in-batch followers). If the owner
-// abandoned the job, the waiter re-joins the replacement flight when
-// one exists, or claims the job and executes it itself. A claimer past
-// maxJoinRetries runs the job without registering its flight when a
-// live one is registered, leaving that flight to its own owner.
-func (e *Engine) awaitFlight(ctx context.Context, j Job, fl *flight, nFollowers int, deliver func(Result)) {
+// abandoned the job, or answered it with an estimate (never cached),
+// the waiter re-joins the replacement flight when one exists, or claims
+// the job and executes it itself, sending modes (the waiter's own, as
+// execute takes them) to the backend. A claimer past maxJoinRetries
+// runs the job without registering its flight when a live one is
+// registered, leaving that flight to its own owner.
+func (e *Engine) awaitFlight(ctx context.Context, j Job, modes []EstimateMode, fl *flight, nFollowers int, deliver func(Result)) {
 	for attempt := 0; ; attempt++ {
 		select {
 		case <-fl.done:
@@ -82,7 +86,8 @@ func (e *Engine) awaitFlight(ctx context.Context, j Job, fl *flight, nFollowers 
 			deliver(Result{Job: j, Pair: oc.pair, Err: oc.err, CacheHit: true, Coalesced: true})
 			return
 		}
-		// The owner abandoned the job without caching it.
+		// The owner abandoned the job, or estimated it, without caching
+		// it.
 		live, ok := e.inflight[j]
 		if ok && attempt < maxJoinRetries {
 			fl = live
@@ -94,7 +99,7 @@ func (e *Engine) awaitFlight(ctx context.Context, j Job, fl *flight, nFollowers 
 			e.inflight[j] = mine
 		}
 		e.mu.Unlock()
-		e.execute(ctx, []Job{j}, []*flight{mine}, []int{nFollowers}, func(_ int, r Result) { deliver(r) })
+		e.execute(ctx, []Job{j}, modes, []*flight{mine}, []int{nFollowers}, func(_ int, r Result) { deliver(r) })
 		return
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"power5prio/internal/core"
+	"power5prio/internal/fame"
 	"power5prio/internal/microbench"
 	"power5prio/internal/prio"
 )
@@ -331,6 +332,92 @@ func TestFlightClaimedEstimateDuplicates(t *testing.T) {
 	}
 	if st := e.Stats(); st.EstimatedHits != 2 || st.Skipped != 1 {
 		t.Errorf("stats %+v, want 2 estimated hits, 1 skipped", st)
+	}
+	checkAccounting(t, e)
+}
+
+// tierZeroBackend is a gatedBackend that runs its own tier 0, like a
+// p5d client: RunEstimate answers a job whose mode accepts bar with an
+// estimate (IPC 42, which no simulation yields) and every other job as
+// gatedBackend does. With lie set it estimates every job sent with an
+// enabled mode, accepted or not.
+type tierZeroBackend struct {
+	gatedBackend
+	bar  float64
+	lie  bool
+	sent [][]EstimateMode // modes of each RunEstimate call
+}
+
+func (b *tierZeroBackend) RunProgress(ctx context.Context, jobs []Job, _ func(int, Result)) ([]Result, error) {
+	return b.Run(ctx, jobs)
+}
+
+func (b *tierZeroBackend) RunEstimate(ctx context.Context, jobs []Job, modes []EstimateMode, _ func(int, Result)) ([]Result, error) {
+	b.mu.Lock()
+	b.sent = append(b.sent, append([]EstimateMode(nil), modes...))
+	b.mu.Unlock()
+	out, err := b.Run(ctx, jobs)
+	for i, m := range modes {
+		if !out[i].Skipped && (m.serves(b.bar) || b.lie && m.Enabled) {
+			var pair fame.PairResult
+			pair.Thread[0] = fame.ThreadResult{Active: true, IPC: 42}
+			out[i] = Result{Job: jobs[i], Pair: pair, Estimated: true, ErrorBar: b.bar}
+		}
+	}
+	return out, err
+}
+
+func (b *tierZeroBackend) modesSent() [][]EstimateMode {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.sent
+}
+
+// TestFlightEstimateOwnerExactJoiners: joiners that demand exact
+// answers — with an explicit off mode, or with no modes at all — on a
+// flight whose owner delegated the job to the backend's tier 0 and got
+// an estimate back do not receive that estimate: they claim the job and
+// get the exact answer.
+func TestFlightEstimateOwnerExactJoiners(t *testing.T) {
+	j := flightJob(t)
+	tb := &tierZeroBackend{gatedBackend: gatedBackend{gate: make(chan struct{}), started: make(chan struct{})}, bar: 0.25}
+	e := NewWith(0, nil, WithBackend(tb))
+
+	var wg sync.WaitGroup
+	var resA, resB, resC []Result
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		resA = e.RunEstimate(nil, []Job{j}, []EstimateMode{EstimateAlways()}, nil)
+	}()
+	<-tb.started
+
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		resB = e.RunEstimate(nil, []Job{j}, []EstimateMode{EstimateOff()}, nil)
+	}()
+	go func() {
+		defer wg.Done()
+		resC = e.Run(nil, []Job{j})
+	}()
+	waitFor(t, func() bool { return e.Stats().Coalesced == 2 }, "batches B and C to join the flight")
+	close(tb.gate)
+	wg.Wait()
+
+	if !resA[0].Estimated || resA[0].CacheHit {
+		t.Fatalf("owner result = %+v, want an uncached estimate", resA[0])
+	}
+	for name, r := range map[string]Result{"B": resB[0], "C": resC[0]} {
+		if r.Err != nil || r.Skipped || r.Estimated || r.Pair.Thread[0].IPC == 42 {
+			t.Errorf("exact joiner %s = %+v, want an exact answer", name, r)
+		}
+	}
+	if runs, _ := tb.counts(); runs != 2 {
+		t.Errorf("backend saw %d runs, want 2 (the owner's estimate + one claim)", runs)
+	}
+	if st := e.Stats(); st.EstimatedHits != 1 || st.Simulated != 1 || st.Hits != 1 {
+		t.Errorf("stats %+v, want 1 estimated, 1 simulated, 1 hit", st)
 	}
 	checkAccounting(t, e)
 }

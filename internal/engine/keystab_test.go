@@ -117,7 +117,7 @@ func mutate(t *testing.T, v reflect.Value) {
 
 // baseJob is a fully-populated job: every field non-degenerate so each
 // perturbation is meaningful.
-func baseJob(t *testing.T) Job {
+func baseJob(t testing.TB) Job {
 	return Pair(
 		ref(t, microbench.CPUInt), ref(t, microbench.LdIntL1),
 		prio.High, prio.Low,
@@ -284,5 +284,24 @@ func TestJobKeyCustomKernels(t *testing.T) {
 	}
 	if JobKey(Single(p1, prio.Supervisor, 1.0, cfg, opts)) == JobKey(Single(p2, prio.Supervisor, 1.0, cfg, opts)) {
 		t.Error("pattern-bearing kernels alias in the disk key")
+	}
+}
+
+// TestJobKeyAllocs gates the cost of JobKey, which every client
+// submission and every daemon admission computes per job: a
+// deterministic allocation count, where wall time is too noisy to gate.
+func TestJobKeyAllocs(t *testing.T) {
+	j := baseJob(t)
+	JobKey(j) // encode the struct headers once
+	if n := testing.AllocsPerRun(100, func() { JobKey(j) }); n > 4 {
+		t.Errorf("JobKey allocates %v times per call, want at most 4", n)
+	}
+}
+
+func BenchmarkJobKey(b *testing.B) {
+	j := baseJob(b)
+	b.ReportAllocs()
+	for b.Loop() {
+		JobKey(j)
 	}
 }

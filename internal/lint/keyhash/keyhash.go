@@ -17,7 +17,7 @@
 // including fields added but never given an explicit stable digest.
 //
 // It also checks the one ambiguity the runtime encoding cannot see:
-// encodeValue writes struct types by their reflect string
+// HashValue writes struct types by their reflect string
 // ("pkgname.Type"), which is not package-path qualified, so two
 // distinct struct types from same-named packages would alias under the
 // encoding. keyhash reports any such collision in a walked type graph.

@@ -59,10 +59,11 @@ const retryBase = 500 * time.Millisecond
 const maxRetryWait = 10 * time.Second
 
 // Client submits jobs to a p5d daemon. It implements engine.Backend
-// (and the progress extension), so an engine constructed with
-// engine.WithBackend(service.NewClient(addr)) transparently executes
-// through the shared daemon: local cache tiers still apply, and only
-// locally-unknown jobs travel.
+// (and the progress and estimate extensions), so an engine constructed
+// with engine.WithBackend(service.NewClient(addr)) transparently
+// executes through the shared daemon: local cache tiers still apply,
+// only locally-unknown jobs travel, and the daemon's tier 0 answers the
+// jobs whose mode accepts an estimate.
 //
 // The client rides failures out rather than surfacing them: admission
 // backpressure (429, or 503 + Retry-After from a draining daemon) backs
@@ -128,22 +129,26 @@ func WithBackpressureCap(d time.Duration) ClientOption {
 	}
 }
 
-// WithEstimate attaches a tier-0 policy to every submission: the
-// daemon answers this client's jobs from its analytical estimator
-// under mode m, and estimated results come back flagged with the
-// model's error bar (Result.Estimated / Result.ErrorBar). Passing a
-// disabled mode requests exact answers explicitly, overriding a
-// daemon that defaults to estimation; without this option the daemon's
-// default applies. Estimates never enter any cache tier on either
-// side, so a later exact run is unaffected.
+// WithEstimate attaches a tier-0 policy to every Run and RunProgress
+// submission: the daemon answers this client's jobs from its
+// analytical estimator under mode m, and estimated results come back
+// flagged with the model's error bar (Result.Estimated /
+// Result.ErrorBar). Passing a disabled mode requests exact answers
+// explicitly, overriding a daemon that defaults to estimation; without
+// this option the daemon's default applies. RunEstimate ignores it:
+// each of its jobs carries its own mode. Estimates never enter any
+// cache tier on either side, so a later exact run is unaffected.
 func WithEstimate(m engine.EstimateMode) ClientOption {
-	return func(c *Client) {
-		if !m.Enabled {
-			c.estimate = &EstimateSpec{} // explicit "exact answers only"
-			return
-		}
-		c.estimate = &EstimateSpec{Always: m.Always, Tolerance: m.Tolerance}
+	return func(c *Client) { c.estimate = estimateSpec(m) }
+}
+
+// estimateSpec is the wire spec of a mode; a disabled mode maps to the
+// empty spec, the explicit "exact answers only".
+func estimateSpec(m engine.EstimateMode) *EstimateSpec {
+	if !m.Enabled {
+		return &EstimateSpec{}
 	}
+	return &EstimateSpec{Always: m.Always, Tolerance: m.Tolerance}
 }
 
 // NewClient returns a client for a daemon address: host:port as passed
@@ -225,8 +230,61 @@ func (c *Client) Run(ctx context.Context, jobs []engine.Job) ([]engine.Result, e
 // a stalled, truncated or drained stream resubmits only its unfinished
 // jobs, riding out a daemon restart. When the retry budgets run out,
 // the jobs not yet delivered are skipped and the failure returned so a
-// caller can retry them, matching the worker-backend contract.
+// caller can retry them, matching the worker-backend contract. The
+// submissions carry the WithEstimate spec, or none.
 func (c *Client) RunProgress(ctx context.Context, jobs []engine.Job, done func(i int, r engine.Result)) ([]engine.Result, error) {
+	return c.run(ctx, jobs, c.estimate, done)
+}
+
+// RunEstimate implements engine.EstimateBackend: it is RunProgress
+// with a tier-0 mode per job, so the daemon's estimator serves exactly
+// the jobs whose own mode accepts its answer. Jobs are submitted one
+// mode at a time, each submission carrying that mode's explicit spec
+// (a disabled mode sends the empty spec: exact answers only). A daemon
+// failure skips every job not yet delivered, as in RunProgress.
+func (c *Client) RunEstimate(ctx context.Context, jobs []engine.Job, modes []engine.EstimateMode, done func(i int, r engine.Result)) ([]engine.Result, error) {
+	var specs []EstimateSpec
+	groups := make(map[EstimateSpec][]int)
+	for i, m := range modes {
+		sp := *estimateSpec(m)
+		if _, ok := groups[sp]; !ok {
+			specs = append(specs, sp)
+		}
+		groups[sp] = append(groups[sp], i)
+	}
+	out := make([]engine.Result, len(jobs))
+	for n, sp := range specs {
+		idx := groups[sp]
+		sub := make([]engine.Job, len(idx))
+		for k, i := range idx {
+			sub[k] = jobs[i]
+		}
+		res, err := c.run(ctx, sub, &sp, func(k int, r engine.Result) {
+			if done != nil {
+				done(idx[k], r)
+			}
+		})
+		for k, i := range idx {
+			out[i] = res[k]
+		}
+		if err != nil {
+			for _, rest := range specs[n+1:] {
+				for _, i := range groups[rest] {
+					out[i] = engine.Result{Job: jobs[i], Err: err, Skipped: true}
+					if done != nil {
+						done(i, out[i])
+					}
+				}
+			}
+			return out, err
+		}
+	}
+	return out, nil
+}
+
+// run submits jobs in chunks under one estimate spec (nil = the
+// daemon's default); see RunProgress.
+func (c *Client) run(ctx context.Context, jobs []engine.Job, spec *EstimateSpec, done func(i int, r engine.Result)) ([]engine.Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -254,7 +312,7 @@ func (c *Client) RunProgress(ctx context.Context, jobs []engine.Job, done func(i
 			skipRest(start, err)
 			return out, nil // cancellation is not a daemon failure
 		}
-		if err := c.submitChunk(ctx, jobs, start, end, report); err != nil {
+		if err := c.submitChunk(ctx, jobs, spec, start, end, report); err != nil {
 			if ctx.Err() != nil {
 				skipRest(start, ctx.Err())
 				return out, nil
@@ -286,12 +344,12 @@ type errResumable struct{ cause error }
 func (e *errResumable) Error() string { return e.cause.Error() }
 func (e *errResumable) Unwrap() error { return e.cause }
 
-// submitChunk drives jobs[start:end] to completion: it submits the
-// pending set, collects results, and loops — resubmitting only the
-// unfinished jobs — through backpressure, stream drops, drains and
-// daemon-side skips, until everything resolved or a retry budget runs
-// out.
-func (c *Client) submitChunk(ctx context.Context, jobs []engine.Job, start, end int, report func(int, engine.Result)) error {
+// submitChunk drives jobs[start:end] to completion under spec: it
+// submits the pending set, collects results, and loops — resubmitting
+// only the unfinished jobs — through backpressure, stream drops,
+// drains and daemon-side skips, until everything resolved or a retry
+// budget runs out.
+func (c *Client) submitChunk(ctx context.Context, jobs []engine.Job, spec *EstimateSpec, start, end int, report func(int, engine.Result)) error {
 	pending := make([]int, 0, end-start)
 	for k := start; k < end; k++ {
 		pending = append(pending, k)
@@ -303,7 +361,7 @@ func (c *Client) submitChunk(ctx context.Context, jobs []engine.Job, start, end 
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		unfinished, err := c.trySubmit(ctx, jobs, pending, report)
+		unfinished, err := c.trySubmit(ctx, jobs, spec, pending, report)
 		if err == nil && len(unfinished) == 0 {
 			return nil
 		}
@@ -350,14 +408,15 @@ func (c *Client) submitChunk(ctx context.Context, jobs []engine.Job, start, end 
 }
 
 // trySubmit performs one submit exchange for the pending set (absolute
-// indices into jobs). Deterministic results are reported as they
+// indices into jobs), carrying spec as the submission's estimate spec.
+// Deterministic results are reported as they
 // stream; daemon-skipped results are withheld and returned as
 // unfinished instead, alongside anything a drained event or a dropped
 // stream left unresolved. The error classifies the exchange:
 // *errBackpressure and *errResumable are retryable, everything else is
 // final.
-func (c *Client) trySubmit(ctx context.Context, jobs []engine.Job, pending []int, report func(int, engine.Result)) ([]int, error) {
-	req := SubmitRequest{Protocol: ProtocolVersion, Client: c.id, Estimate: c.estimate, Jobs: make([]remote.WireJob, len(pending))}
+func (c *Client) trySubmit(ctx context.Context, jobs []engine.Job, spec *EstimateSpec, pending []int, report func(int, engine.Result)) ([]int, error) {
+	req := SubmitRequest{Protocol: ProtocolVersion, Client: c.id, Estimate: spec, Jobs: make([]remote.WireJob, len(pending))}
 	for i, k := range pending {
 		req.Jobs[i] = remote.WireJob{Key: engine.JobKey(jobs[k]).String(), Job: jobs[k]}
 	}

@@ -398,6 +398,58 @@ func TestServiceEstimate(t *testing.T) {
 	}
 }
 
+// TestClientRunEstimate: a batch mixing modes reaches the daemon as one
+// submission per distinct mode, each with its explicit spec, so every
+// job gets the answer its own mode accepts — never the daemon's
+// spec-less default — reported once, at its own index.
+func TestClientRunEstimate(t *testing.T) {
+	cb := &countingBackend{}
+	eng := engine.NewWith(0, nil, engine.WithBackend(cb))
+	eng.SetEstimator(&tierZero{bar: 0.25})
+	eng.SetEstimateMode(engine.EstimateAlways())
+	d := New(eng, nil, Config{})
+	srv := startDaemon(t, d)
+
+	jobs := svcJobs(4, 0)
+	modes := []engine.EstimateMode{engine.EstimateOff(), engine.EstimateAlways(), engine.EstimateTolerance(0.1), engine.EstimateAlways()}
+	reported := make([]int, len(jobs))
+	res, err := NewClient(srv.URL, WithClientID("mixed")).RunEstimate(nil, jobs, modes, func(i int, r engine.Result) {
+		reported[i]++
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range res {
+		if r.Job != jobs[i] || r.Err != nil || r.Estimated != modes[i].Always || reported[i] != 1 {
+			t.Errorf("job %d (mode %+v) = %+v, reported %d times; want estimated=%v, reported once",
+				i, modes[i], r, reported[i], modes[i].Always)
+		}
+	}
+	if _, n := cb.counts(); n != 2 {
+		t.Errorf("backend simulated %d jobs, want the 2 exact ones", n)
+	}
+	if st := d.Stats(); st.Submitted != 4 || st.EstimatedHits != 2 || st.EstimatedEscalated != 2 {
+		t.Errorf("daemon stats %+v, want 4 submitted, 2 estimated, 2 escalated", st)
+	}
+
+	// A daemon that fails the first submission fails the whole batch:
+	// the jobs of the modes not yet submitted are skipped with it.
+	broken := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		http.Error(w, "broken", http.StatusBadRequest)
+	}))
+	t.Cleanup(broken.Close)
+	reported = make([]int, len(jobs))
+	res, err = NewClient(broken.URL).RunEstimate(nil, jobs, modes, func(i int, r engine.Result) { reported[i]++ })
+	if err == nil {
+		t.Fatal("RunEstimate against a failing daemon returned no error")
+	}
+	for i, r := range res {
+		if !r.Skipped || r.Err == nil || reported[i] != 1 {
+			t.Errorf("job %d after a daemon failure = %+v, reported %d times; want skipped once", i, r, reported[i])
+		}
+	}
+}
+
 // TestBackpressure pins the 429 contract: a submission that overflows
 // the queue of an idle daemon gets 429 with a Retry-After hint, and a
 // client engine rides the backpressure to completion once dispatch

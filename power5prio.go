@@ -291,11 +291,14 @@ func EstimateAlways() EstimateMode { return engine.EstimateAlways() }
 // pair measurement is served by tier 0.
 func DefaultEstimateTolerance() float64 { return analytic.DefaultTolerance() }
 
-// WithEstimate sets the System's default estimate mode. Every System
-// carries the analytical estimator (calibrations run lazily, once per
-// workload, and persist in the System's cache when it has one); this
-// option decides whether batches accept its answers by default.
-// Individual specs override the default with Spec.Estimate.
+// WithEstimate sets the System's default estimate mode: whether
+// batches accept tier-0 answers by default. Individual specs override
+// the default with Spec.Estimate. A local System carries the
+// analytical estimator itself (calibrations run lazily, once per
+// workload, and persist in the System's cache when it has one); a
+// System whose backend is a p5d daemon (WithService, or WithBackend
+// with a daemon client) has none, and each spec's mode travels to the
+// daemon, whose tier 0 and persistent calibration answer it.
 func WithEstimate(m EstimateMode) Option { return func(s *System) { s.estMode = m } }
 
 // Backend executes measurement batches on behalf of a System: the
@@ -320,7 +323,11 @@ func WithBackend(b Backend) Option { return func(s *System) { s.backend = b } }
 // cache tiers, and runs the rest on its worker fleet, retrying jobs a
 // failed worker dropped. The System's local cache tiers stay in front,
 // so only locally-unknown measurements travel. Results are
-// byte-identical to local execution. Custom kernels registered with
+// byte-identical to local execution. Tier 0 runs in the daemon too:
+// each spec's estimate mode travels with it, so a spec that accepts
+// an estimate is answered from the daemon's calibrated model, and a
+// spec that demands an exact answer gets one whatever the daemon's
+// -estimate default. Custom kernels registered with
 // RegisterWorkload cannot travel over the wire and fail with a clear
 // error; built-in workloads run anywhere.
 func WithService(addr string) Option {
@@ -366,9 +373,12 @@ func New(cfg Config, options ...Option) *System {
 		engOpts = append(engOpts, engine.WithBackend(s.backend))
 	}
 	s.eng = engine.NewWith(s.workers, nil, engOpts...)
-	// Every System carries the analytical estimator; the mode (off by
-	// default) decides whether any batch consults it.
-	s.eng.SetEstimator(analytic.New(s.eng))
+	// Tier 0 runs where the calibration lives: in the backend when it
+	// has its own (a p5d daemon), here otherwise. The mode (off by
+	// default) decides whether any batch uses it.
+	if _, ok := s.eng.Backend().(engine.EstimateBackend); !ok {
+		s.eng.SetEstimator(analytic.New(s.eng))
+	}
 	s.eng.SetEstimateMode(s.estMode)
 	return s
 }
