@@ -16,9 +16,10 @@
 // With -fleet, jobs fan out across a p5worker fleet that workers join
 // at runtime via POST /v1/register — p5worker -register does this and
 // heartbeats it — so the fleet grows without restarting the daemon.
-// The circuit breaker keeps the daemon serving while individual
-// workers die and rejoin, and the daemon requeues the jobs a failed
-// worker dropped.
+// A worker whose run fails is left out of later batches until its
+// next heartbeat or a successful run, so the daemon keeps serving
+// while individual workers die and rejoin, and it requeues the jobs a
+// failed worker dropped.
 //
 // Every daemon carries the tier-0 analytical estimator, and it is the
 // tier 0 of every client that talks to it: clients run no estimator of
@@ -33,12 +34,12 @@
 // with their error bar and never enter any cache tier.
 //
 // GET /v1/stats reports queue depth, tenant count, cache-tier and
-// estimator counters, a per-client answer-tier breakdown, and
-// per-worker circuit-breaker state. SIGINT/SIGTERM drain
-// gracefully: admission stops (503 + Retry-After), in-flight dispatches
-// finish, and every open stream ends with its terminal event — queued
-// jobs that never ran are handed back as a "drained" event so clients
-// resubmit them to the daemon's successor.
+// estimator counters, a per-client answer-tier breakdown, and which
+// fleet workers are down. SIGINT/SIGTERM drain gracefully: admission
+// stops (503 + Retry-After), in-flight dispatches finish, and every
+// open stream ends with its terminal event — queued jobs that never
+// ran are handed back as a "drained" event so clients resubmit them to
+// the daemon's successor.
 //
 // -chaos loads a deterministic fault-injection plan (see
 // internal/chaos) and applies it to this daemon's execution backend and
@@ -101,8 +102,8 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	// Execution backend: a worker fleet with -fleet (breaker-protected,
-	// grown by registration), otherwise the in-process pool. The
+	// Execution backend: a worker fleet with -fleet (grown by
+	// registration), otherwise the in-process pool. The
 	// daemon's cache tiers sit in front either way.
 	var fleet *remote.ShardedBackend
 	engOpts := []engine.Option{engine.WithStore(store)}

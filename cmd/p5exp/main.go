@@ -118,10 +118,15 @@ func main() {
 		}
 		os.Exit(code)
 	}
-	// interrupted notes a cancelled sweep and picks the exit code.
+	// interrupted notes a cancelled or failed sweep and picks the exit
+	// code: 130 when ctx was cancelled, 1 when a job failed.
 	interrupted := func(err error) {
 		if err == nil {
 			return
+		}
+		if ctx.Err() == nil {
+			fmt.Fprintln(os.Stderr, "p5exp:", err)
+			exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "p5exp: interrupted (%v); partial results above, completed work cached\n", err)
 		exit(130)

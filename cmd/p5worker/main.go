@@ -16,7 +16,7 @@
 // With -register, the worker announces itself to a p5d daemon on
 // startup and re-announces every heartbeat interval, so a daemon
 // started with -fleet grows its fleet as workers come up, and a worker
-// that the daemon's circuit breaker excluded (crash, restart, network
+// the daemon marked down after a failed run (crash, restart, network
 // partition) is readmitted on its next heartbeat. -advertise overrides
 // the address the worker registers (needed behind NAT or when binding
 // a wildcard address).
@@ -32,7 +32,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"math/rand"
 	"net"
 	"net/http"
 	"os"
@@ -53,7 +52,7 @@ func main() {
 		maxBatch  = flag.Int("max-batch", 4096, "largest job batch accepted in one request (0 = unlimited)")
 		register  = flag.String("register", "", "register with (and heartbeat to) a p5d daemon at host:port")
 		advertise = flag.String("advertise", "", "address to register with the daemon (default: the bound listen address)")
-		heartbeat = flag.Duration("heartbeat", 15*time.Second, "re-registration interval with -register (±20%% jitter; heals circuit-breaker exclusion)")
+		heartbeat = flag.Duration("heartbeat", 15*time.Second, "re-registration interval with -register (readmits a worker the daemon marked down)")
 		chaosPlan = flag.String("chaos", "", "fault-injection plan JSON (see internal/chaos) applied to this worker's HTTP handler and cache store")
 		quiet     = flag.Bool("quiet", false, "suppress the per-batch log lines")
 		common    = cmdutil.AddCommonFlags("p5worker", flag.CommandLine)
@@ -64,6 +63,11 @@ func main() {
 
 	logf := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "p5worker: "+format+"\n", args...)
+	}
+	if *register != "" && *heartbeat <= 0 {
+		logf("-heartbeat must be positive, got %v", *heartbeat)
+		stopProfiles()
+		os.Exit(2)
 	}
 
 	var inj *chaos.Injector
@@ -111,9 +115,9 @@ func main() {
 		}
 		// Register now and on every heartbeat: the first call joins the
 		// daemon's fleet, repeats are cheap no-ops that double as the
-		// liveness signal resetting this worker's circuit-breaker state
-		// after a crash or partition. Registration failures are warnings,
-		// not fatal — the daemon may simply not be up yet.
+		// liveness signal marking this worker up again after a crash or
+		// partition. Registration failures are warnings, not fatal — the
+		// daemon may simply not be up yet.
 		announce := func() {
 			added, err := service.RegisterWorker(ctx, *register, addr)
 			switch {
@@ -127,21 +131,14 @@ func main() {
 		// below is accepting: the daemon health-checks the advertised
 		// address before admitting it, so a synchronous announce here
 		// would always fail against our own not-yet-serving listener.
-		// Each interval is jittered ±20% so a fleet of workers started
-		// together (or restarted by the same supervisor) doesn't
-		// heartbeat the daemon in lockstep.
 		go func() {
 			announce()
-			jittered := func() time.Duration {
-				return time.Duration(float64(*heartbeat) * (1 + 0.2*(2*rand.Float64()-1)))
-			}
-			t := time.NewTimer(jittered())
+			t := time.NewTicker(*heartbeat)
 			defer t.Stop()
 			for {
 				select {
 				case <-t.C:
 					announce()
-					t.Reset(jittered())
 				case <-ctx.Done():
 					return
 				}

@@ -30,10 +30,6 @@ func (b *Backend) Name() string { return "chaos(" + b.inner.Name() + ")" }
 // Capacity forwards to the wrapped backend.
 func (b *Backend) Capacity() int { return b.inner.Capacity() }
 
-// Healthy forwards to the wrapped backend: the injector breaks work,
-// not liveness probes (probe faults belong on the HTTP seam).
-func (b *Backend) Healthy(ctx context.Context) error { return b.inner.Healthy(ctx) }
-
 // Run implements engine.Backend; see RunProgress.
 func (b *Backend) Run(ctx context.Context, jobs []engine.Job) ([]engine.Result, error) {
 	return b.RunProgress(ctx, jobs, nil)

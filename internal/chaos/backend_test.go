@@ -18,9 +18,8 @@ type fakeBackend struct {
 	jobs int
 }
 
-func (b *fakeBackend) Name() string                  { return "fake" }
-func (b *fakeBackend) Capacity() int                 { return 4 }
-func (b *fakeBackend) Healthy(context.Context) error { return nil }
+func (b *fakeBackend) Name() string  { return "fake" }
+func (b *fakeBackend) Capacity() int { return 4 }
 
 func (b *fakeBackend) Run(ctx context.Context, jobs []engine.Job) ([]engine.Result, error) {
 	b.mu.Lock()

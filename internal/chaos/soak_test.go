@@ -24,9 +24,8 @@ type synthBackend struct {
 	jobs int
 }
 
-func (b *synthBackend) Name() string                  { return "synth" }
-func (b *synthBackend) Capacity() int                 { return 4 }
-func (b *synthBackend) Healthy(context.Context) error { return nil }
+func (b *synthBackend) Name() string  { return "synth" }
+func (b *synthBackend) Capacity() int { return 4 }
 
 func (b *synthBackend) Run(ctx context.Context, jobs []engine.Job) ([]engine.Result, error) {
 	b.mu.Lock()

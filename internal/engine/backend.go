@@ -32,10 +32,6 @@ type Backend interface {
 	// Capacity is the number of jobs the backend can usefully execute
 	// concurrently (a scheduling hint, not a hard bound).
 	Capacity() int
-	// Healthy probes availability: nil when the backend can accept
-	// work. Local backends are always healthy; remote ones ping their
-	// workers.
-	Healthy(ctx context.Context) error
 	// Run executes jobs and returns their results in order.
 	Run(ctx context.Context, jobs []Job) ([]Result, error)
 }
@@ -76,8 +72,8 @@ type RemoteStats struct {
 	// a dropped, drained or stalled stream.
 	Retries int
 	// WorkerErrors are worker-level failures observed (unreachable,
-	// bad protocol, non-2xx responses) — on a fleet, each opens the
-	// worker's circuit breaker.
+	// bad protocol, non-2xx responses) — on a fleet, each marks the
+	// worker down until its next heartbeat or successful run.
 	WorkerErrors int
 }
 
@@ -122,9 +118,6 @@ func (b *LocalBackend) Registry() *workload.Registry { return b.reg }
 
 // Capacity returns the worker-pool bound.
 func (b *LocalBackend) Capacity() int { return cap(b.sem) }
-
-// Healthy always succeeds: the local pool needs nothing external.
-func (b *LocalBackend) Healthy(context.Context) error { return nil }
 
 // Run executes the batch on the pool; see RunProgress.
 func (b *LocalBackend) Run(ctx context.Context, jobs []Job) ([]Result, error) {

@@ -23,10 +23,9 @@ type plainBackend struct {
 	rs   RemoteStats
 }
 
-func (p *plainBackend) Name() string                      { return "plain" }
-func (p *plainBackend) Capacity() int                     { return 2 }
-func (p *plainBackend) Healthy(ctx context.Context) error { return nil }
-func (p *plainBackend) RemoteStats() RemoteStats          { return p.rs }
+func (p *plainBackend) Name() string             { return "plain" }
+func (p *plainBackend) Capacity() int            { return 2 }
+func (p *plainBackend) RemoteStats() RemoteStats { return p.rs }
 func (p *plainBackend) Run(ctx context.Context, jobs []Job) ([]Result, error) {
 	if p.fail != nil {
 		return nil, p.fail
@@ -109,14 +108,11 @@ func TestBackendFailure(t *testing.T) {
 }
 
 // TestLocalBackendDirect: the extracted pool honours the Backend
-// contract directly — results in order, Healthy, default capacity.
+// contract directly — results in order, default capacity.
 func TestLocalBackendDirect(t *testing.T) {
 	b := NewLocalBackend(3, nil)
 	if b.Name() != "local" || b.Capacity() != 3 {
 		t.Fatalf("Name/Capacity = %q/%d", b.Name(), b.Capacity())
-	}
-	if err := b.Healthy(nil); err != nil {
-		t.Fatalf("Healthy: %v", err)
 	}
 	if c := NewLocalBackend(0, nil).Capacity(); c < 1 {
 		t.Errorf("NewLocalBackend(0) capacity %d, want GOMAXPROCS", c)

@@ -31,9 +31,8 @@ type gatedBackend struct {
 	jobs int // jobs across all Run calls
 }
 
-func (g *gatedBackend) Name() string                  { return "gated" }
-func (g *gatedBackend) Capacity() int                 { return 2 }
-func (g *gatedBackend) Healthy(context.Context) error { return nil }
+func (g *gatedBackend) Name() string  { return "gated" }
+func (g *gatedBackend) Capacity() int { return 2 }
 
 func (g *gatedBackend) Run(ctx context.Context, jobs []Job) ([]Result, error) {
 	g.mu.Lock()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"power5prio/internal/engine"
@@ -142,6 +143,52 @@ func TestMatrixCancellation(t *testing.T) {
 	after := h.Engine.Stats()
 	if gotHits := after.Hits - before.Hits; gotHits < measured {
 		t.Errorf("re-run reused %d cached jobs, want >= %d", gotHits, measured)
+	}
+}
+
+// failingBackend runs jobs on the local pool but fails one job the way
+// a p5d daemon that ran out of dispatch attempts does.
+type failingBackend struct {
+	engine.Backend
+	fail engine.Job
+}
+
+func (b failingBackend) Run(ctx context.Context, jobs []engine.Job) ([]engine.Result, error) {
+	out, err := b.Backend.Run(ctx, jobs)
+	for i, j := range jobs {
+		if j == b.fail {
+			out[i] = engine.Result{Job: j, Err: errors.New("service: job gave up after 5 dispatch attempts")}
+		}
+	}
+	return out, err
+}
+
+// TestMatrixJobError: a job the backend fails ends the sweep with an
+// error naming that job and a Partial matrix holding every other cell.
+func TestMatrixJobError(t *testing.T) {
+	h := matrixHarness(2)
+	pp, ps := DiffPair(2)
+	fail := h.pairJob(h.Engine, microbench.CPUInt, microbench.LdIntMem, pp, ps)
+	h.Engine = engine.NewWith(0, nil, engine.WithBackend(failingBackend{engine.NewLocalBackend(2, nil), fail}))
+
+	diffs := []int{0, 2}
+	m, err := RunMatrix(context.Background(), h, matrixNames, matrixNames, diffs)
+	if err == nil || !strings.Contains(err.Error(), "gave up") ||
+		!strings.Contains(err.Error(), fail.Primary.String()+"+"+fail.Secondary.String()) {
+		t.Fatalf("RunMatrix error = %v, want the failed job named", err)
+	}
+	if !m.Partial {
+		t.Error("matrix with a failed job not marked Partial")
+	}
+	for _, p := range matrixNames {
+		for _, s := range matrixNames {
+			for _, d := range diffs {
+				failed := p == microbench.CPUInt && s == microbench.LdIntMem && d == 2
+				if m.Has(p, s, d) == failed {
+					t.Errorf("cell (%s,%s,%+d) present = %v, want %v", p, s, d, !failed, failed)
+				}
+			}
+		}
 	}
 }
 

@@ -14,7 +14,9 @@
 // Every experiment takes a context: cancelling it stops the sweep,
 // returns the partial results measured so far (marked Partial on matrix
 // results) alongside the context's error, and leaves the completed work
-// in the engine cache so a retry resumes where the sweep stopped.
+// in the engine cache so a retry resumes where the sweep stopped. A job
+// that fails (a p5d daemon giving up on it, say) ends the experiment the
+// same way, with an error naming the job.
 package experiments
 
 import (
@@ -122,25 +124,15 @@ func (h Harness) progressFunc() func(int, engine.Result) {
 	}
 }
 
-// run submits a batch and unwraps the results. Jobs skipped by a
-// cancelled context leave zero-valued entries and set the returned error;
-// any other failure panics — experiment inputs are compiled in, so it is
-// a harness bug, not user input.
+// run submits a batch and unwraps the results; jobs that did not
+// complete leave zero-valued entries (see batch.runWith for the error).
 func (h Harness) run(ctx context.Context, eng *engine.Engine, jobs []engine.Job) ([]fame.PairResult, error) {
-	results := eng.RunFunc(ctx, jobs, h.progressFunc())
-	out := make([]fame.PairResult, len(results))
-	var err error
-	for i, r := range results {
-		if r.Err != nil {
-			if isCancel(r.Err) {
-				err = r.Err
-				continue
-			}
-			panic(fmt.Sprintf("experiments: job %d (%s+%s): %v", i, r.Job.Primary, r.Job.Secondary, r.Err))
-		}
-		out[i] = r.Pair
+	out := make([]fame.PairResult, len(jobs))
+	var b batch
+	for i, j := range jobs {
+		b.add(j, func(r fame.PairResult) { out[i] = r })
 	}
-	return out, err
+	return out, b.runWith(ctx, h, eng)
 }
 
 // RunPairLevels measures a co-scheduled pair at explicit priority levels.
@@ -224,8 +216,8 @@ type MatrixResult struct {
 	Diffs       []int
 	Cells       map[PairKey]map[int]Meas
 	SingleIPC   map[string]float64
-	// Partial marks a matrix whose sweep was cancelled: cells measured
-	// before cancellation are present, the rest are missing.
+	// Partial marks a matrix whose sweep was cancelled or had a job
+	// fail: cells measured are present, the rest are missing.
 	Partial bool
 }
 
@@ -241,22 +233,28 @@ func (b *batch) add(j engine.Job, f func(fame.PairResult)) {
 	b.assign = append(b.assign, f)
 }
 
-// runWith submits the batch and assigns every completed result; cancelled
-// jobs are skipped and surface as the returned error.
+// runWith submits the batch and assigns every completed result. Jobs
+// that did not complete stay unassigned: the returned error is the
+// first job failure, naming the job (a backend can fail one, e.g. a
+// p5d daemon whose dispatch attempts ran out), or else the
+// cancellation error of a skipped job.
 func (b *batch) runWith(ctx context.Context, h Harness, eng *engine.Engine) error {
 	results := eng.RunFunc(ctx, b.jobs, h.progressFunc())
-	var err error
+	var failed, cancelled error
 	for i, r := range results {
-		if r.Err != nil {
-			if isCancel(r.Err) {
-				err = r.Err
-				continue
-			}
-			panic(fmt.Sprintf("experiments: job %d (%s+%s): %v", i, r.Job.Primary, r.Job.Secondary, r.Err))
+		switch {
+		case r.Err == nil:
+			b.assign[i](r.Pair)
+		case isCancel(r.Err):
+			cancelled = r.Err
+		case failed == nil:
+			failed = fmt.Errorf("experiments: job %d (%s+%s): %w", i, r.Job.Primary, r.Job.Secondary, r.Err)
 		}
-		b.assign[i](r.Pair)
 	}
-	return err
+	if failed != nil {
+		return failed
+	}
+	return cancelled
 }
 
 // RunMatrix measures every (primary, secondary) pair at every priority
@@ -266,8 +264,8 @@ func (b *batch) runWith(ctx context.Context, h Harness, eng *engine.Engine) erro
 // Workload names resolve through the engine registry, so primaries and
 // secondaries may mix families and include registered custom kernels.
 //
-// Cancelling ctx returns the partial matrix (Partial set, missing cells
-// absent) together with the context's error.
+// Cancelling ctx, or a job failing, returns the partial matrix (Partial
+// set, missing cells absent) together with the error (see runWith).
 func RunMatrix(ctx context.Context, h Harness, primaries, secondaries []string, diffs []int) (*MatrixResult, error) {
 	r := &MatrixResult{
 		Primaries:   primaries,

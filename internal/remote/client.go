@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"power5prio/internal/engine"
-	"power5prio/internal/fame"
 )
 
 // DefaultMaxInFlight is the per-worker in-flight job limit: the largest
@@ -30,7 +29,7 @@ const DefaultMaxInFlight = 16
 type HTTPBackend struct {
 	base     string // http://host:port
 	client   *http.Client
-	inflight int // chunk size: DefaultMaxInFlight (tests lower it)
+	inflight int // Capacity: DefaultMaxInFlight (tests lower it)
 
 	mu sync.Mutex
 	rs engine.RemoteStats
@@ -96,102 +95,87 @@ func (b *HTTPBackend) Healthy(ctx context.Context) error {
 	return nil
 }
 
-// Run executes the batch on the worker in chunks of at most the
-// in-flight limit. A worker-level failure (unreachable, bad protocol,
-// non-2xx) stops the batch: jobs already executed keep their results,
-// every remaining job returns a Skipped result carrying the failure,
+// Run posts the batch to the worker in one request; the fleet already
+// chunks batches to Capacity. A worker-level failure (unreachable, bad
+// protocol, non-2xx) returns every job Skipped carrying the failure,
 // and the failure is also returned as Run's error so the sharding layer
-// can open the worker's breaker. Job-level errors are never retried
-// here — they are deterministic properties of the job.
+// can mark the worker down. Job-level errors are never retried here —
+// they are deterministic properties of the job.
 func (b *HTTPBackend) Run(ctx context.Context, jobs []Job) ([]Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	out := make([]Result, len(jobs))
-	for start := 0; start < len(jobs); start += b.inflight {
-		end := start + b.inflight
-		if end > len(jobs) {
-			end = len(jobs)
-		}
-		if err := ctx.Err(); err != nil {
-			b.skipFrom(out, jobs, start, err)
-			return out, nil // cancellation is not a worker failure
-		}
-		if err := b.runChunk(ctx, jobs, out, start, end); err != nil {
-			if ctx.Err() != nil {
-				b.skipFrom(out, jobs, start, ctx.Err())
-				return out, nil
-			}
-			b.mu.Lock()
-			b.rs.WorkerErrors++
-			b.mu.Unlock()
-			err = fmt.Errorf("remote: worker %s: %w", b.base, err)
-			b.skipFrom(out, jobs, start, err)
-			return out, err
-		}
+	out, err := b.post(ctx, jobs)
+	if err == nil {
+		b.mu.Lock()
+		b.rs.Jobs += len(jobs)
+		b.mu.Unlock()
+		return out, nil
 	}
-	return out, nil
+	skip := ctx.Err()
+	if skip == nil {
+		b.mu.Lock()
+		b.rs.WorkerErrors++
+		b.mu.Unlock()
+		err = fmt.Errorf("remote: worker %s: %w", b.base, err)
+		skip = err
+	} else {
+		err = nil // cancellation is not a worker failure
+	}
+	out = make([]Result, len(jobs))
+	for k, j := range jobs {
+		out[k] = Result{Job: j, Err: skip, Skipped: true}
+	}
+	return out, err
 }
 
-// skipFrom marks every job from index start on as never attempted.
-func (b *HTTPBackend) skipFrom(out []Result, jobs []Job, start int, err error) {
-	for k := start; k < len(jobs); k++ {
-		out[k] = Result{Job: jobs[k], Err: err, Skipped: true}
-	}
-}
-
-// runChunk posts jobs[start:end] and decodes their results into
-// out[start:end]. Any returned error means none of the chunk's results
-// were recorded (the response could not be trusted as a whole).
-func (b *HTTPBackend) runChunk(ctx context.Context, jobs []Job, out []Result, start, end int) error {
-	req := RunRequest{Protocol: ProtocolVersion, Jobs: make([]WireJob, end-start)}
-	for k := start; k < end; k++ {
-		req.Jobs[k-start] = WireJob{Key: engine.JobKey(jobs[k]).String(), Job: jobs[k]}
+// post sends jobs and decodes their results. Any returned error means
+// none of the results were recorded (the response could not be trusted
+// as a whole).
+func (b *HTTPBackend) post(ctx context.Context, jobs []Job) ([]Result, error) {
+	req := RunRequest{Protocol: ProtocolVersion, Jobs: make([]WireJob, len(jobs))}
+	for k, j := range jobs {
+		req.Jobs[k] = WireJob{Key: engine.JobKey(j).String(), Job: j}
 	}
 	body, err := json.Marshal(req)
 	if err != nil {
-		return fmt.Errorf("encode run request: %w", err)
+		return nil, fmt.Errorf("encode run request: %w", err)
 	}
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, b.base+RunPath, bytes.NewReader(body))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	hreq.Header.Set("Content-Type", "application/json")
 	hresp, err := b.client.Do(hreq)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer hresp.Body.Close()
 	if hresp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(hresp.Body, 512))
-		return fmt.Errorf("%s: %s", hresp.Status, strings.TrimSpace(string(msg)))
+		return nil, fmt.Errorf("%s: %s", hresp.Status, strings.TrimSpace(string(msg)))
 	}
 	var resp RunResponse
 	if err := json.NewDecoder(hresp.Body).Decode(&resp); err != nil {
-		return fmt.Errorf("decode run response: %w", err)
+		return nil, fmt.Errorf("decode run response: %w", err)
 	}
 	if err := checkProtocol(resp.Protocol); err != nil {
-		return err
+		return nil, err
 	}
-	if len(resp.Results) != end-start {
-		return fmt.Errorf("worker returned %d results for %d jobs", len(resp.Results), end-start)
+	if len(resp.Results) != len(jobs) {
+		return nil, fmt.Errorf("worker returned %d results for %d jobs", len(resp.Results), len(jobs))
 	}
-	for k := start; k < end; k++ {
-		wr := resp.Results[k-start]
-		if wr.Key != req.Jobs[k-start].Key {
-			return fmt.Errorf("worker returned result for key %s at position of %s", wr.Key, req.Jobs[k-start].Key)
+	out := make([]Result, len(jobs))
+	for k, wr := range resp.Results {
+		if wr.Key != req.Jobs[k].Key {
+			return nil, fmt.Errorf("worker returned result for key %s at position of %s", wr.Key, req.Jobs[k].Key)
 		}
-		r := Result{Job: jobs[k], Pair: wr.Pair}
+		out[k] = Result{Job: jobs[k], Pair: wr.Pair}
 		if wr.Err != "" {
-			r.Err = errors.New(wr.Err)
-			r.Pair = fame.PairResult{}
+			out[k] = Result{Job: jobs[k], Err: errors.New(wr.Err)}
 		}
-		out[k] = r
 	}
-	b.mu.Lock()
-	b.rs.Jobs += end - start
-	b.mu.Unlock()
-	return nil
+	return out, nil
 }
 
 // Job and Result alias the engine types the wire code moves around.

@@ -85,9 +85,6 @@ func TestLoopbackEquivalence(t *testing.T) {
 	addr1, _ := startWorker(t, ServerConfig{Workers: 2})
 	addr2, _ := startWorker(t, ServerConfig{Workers: 2})
 	backend := NewDynamic(httpWorker(addr1, 2), httpWorker(addr2, 3))
-	if err := backend.Healthy(nil); err != nil {
-		t.Fatalf("Healthy: %v", err)
-	}
 	eng := engine.NewWith(0, nil, engine.WithBackend(backend))
 
 	seen := make(map[int]int)
@@ -147,8 +144,8 @@ func TestAllWorkersFail(t *testing.T) {
 	defer dead.Close()
 
 	jobs := testJobs(t, 3)[:3]
-	// One job per chunk, so each dead worker takes one and opens its
-	// breaker; the third job is left to nobody.
+	// One job per chunk, so each dead worker takes one and is marked
+	// down; the third job is left to nobody.
 	backend := NewDynamic(httpWorker(dead.URL, 1), httpWorker(dead.URL, 1))
 	eng := engine.NewWith(0, nil, engine.WithBackend(backend))
 	res := eng.Run(nil, jobs)
@@ -163,8 +160,10 @@ func TestAllWorkersFail(t *testing.T) {
 	if st := eng.Stats(); st.Simulated != 0 || st.Skipped != len(jobs) {
 		t.Errorf("stats %+v, want 0 simulated / %d skipped", st, len(jobs))
 	}
-	if backend.Healthy(nil) == nil {
-		t.Error("Healthy succeeded with every breaker open")
+	for _, w := range backend.WorkerStates() {
+		if !w.Excluded {
+			t.Errorf("worker %s not marked down after failing its chunk", w.Name)
+		}
 	}
 
 	// Same jobs on a healthy backend: the dead-fleet errors were not

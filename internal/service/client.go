@@ -579,7 +579,7 @@ func (c *Client) trySubmit(ctx context.Context, jobs []engine.Job, spec *Estimat
 
 // RegisterWorker announces the worker at workerAddr to the daemon. The
 // daemon health-checks the worker before admitting it; re-registering
-// is the heartbeat that keeps a worker's circuit breaker closed, so
+// is the heartbeat that readmits a worker a failed run marked down, so
 // workers call this periodically. Added reports whether the fleet grew
 // (false on a heartbeat).
 func (c *Client) RegisterWorker(ctx context.Context, workerAddr string) (added bool, err error) {

@@ -19,9 +19,9 @@
 //     (engine/flight.go) collapse identical jobs from different
 //     clients into one simulation.
 //   - Worker registration: workers announce themselves at runtime and
-//     join the ShardedBackend fleet (heartbeats re-register, closing
-//     the circuit breaker), so the fleet scales without restarting the
-//     daemon.
+//     join the ShardedBackend fleet (heartbeats re-register, marking
+//     a worker up again after a failed run), so the fleet scales
+//     without restarting the daemon.
 //
 // The wire protocol, p5queue/v3, layers on p5remote/v1: jobs travel as
 // remote.WireJob (Job value + JobKey, recomputed and verified on both
@@ -63,8 +63,8 @@ const (
 	// SubmitPath enqueues a job batch and streams its results (POST,
 	// SubmitRequest -> NDJSON Event stream).
 	SubmitPath = "/v1/submit"
-	// StatsPath reports queue, cache-tier and per-worker breaker state
-	// (GET -> Stats).
+	// StatsPath reports queue, cache-tier and per-worker membership
+	// state (GET -> Stats).
 	StatsPath = "/v1/stats"
 	// RegisterPath adds a worker to the fleet (POST, RegisterRequest ->
 	// RegisterResponse). Re-registering is the worker heartbeat.
@@ -165,8 +165,9 @@ type Stats struct {
 	// Clients is the per-tenant delivery breakdown, sorted by client ID
 	// (absent before the first delivery).
 	Clients []ClientStats `json:"clients,omitempty"`
-	// Workers is the fleet's per-worker circuit-breaker state (absent
-	// when the daemon executes on a local pool).
+	// Workers lists the fleet's workers, each marked excluded while a
+	// failed run keeps it down (absent when the daemon executes on a
+	// local pool).
 	Workers []remote.WorkerStatus `json:"workers,omitempty"`
 }
 
@@ -208,8 +209,8 @@ type RegisterRequest struct {
 }
 
 // RegisterResponse reports the registration outcome. Added is false
-// when the worker was already in the fleet (a heartbeat — its breaker
-// is closed instead).
+// when the worker was already in the fleet (a heartbeat — it is marked
+// up instead).
 type RegisterResponse struct {
 	Protocol string `json:"protocol"`
 	Added    bool   `json:"added"`

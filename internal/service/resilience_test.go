@@ -33,9 +33,8 @@ type skipBackend struct {
 	jobs int
 }
 
-func (b *skipBackend) Name() string                  { return "skips" }
-func (b *skipBackend) Capacity() int                 { return 4 }
-func (b *skipBackend) Healthy(context.Context) error { return nil }
+func (b *skipBackend) Name() string  { return "skips" }
+func (b *skipBackend) Capacity() int { return 4 }
 
 func (b *skipBackend) Run(ctx context.Context, jobs []engine.Job) ([]engine.Result, error) {
 	b.mu.Lock()

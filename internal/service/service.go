@@ -35,7 +35,7 @@ const maxDispatchAttempts = 5
 
 // requeueBackoff is the pause a dispatcher takes before requeueing a
 // batch that came back entirely skipped — a backend-level failure such
-// as an empty or fully excluded fleet. Without it a dead fleet would
+// as an empty fleet or one whose every worker failed. Without it a dead fleet would
 // burn through every job's attempt budget in microseconds; with it the
 // budget spans long enough for workers to re-register (heartbeats are
 // seconds apart).
@@ -152,7 +152,7 @@ type Daemon struct {
 
 // New builds a daemon over an engine. fleet may be nil (local
 // execution); when set it must be the engine's backend — it is what
-// RegisterWorker grows and Stats reports breaker state from.
+// RegisterWorker grows and Stats reports worker membership from.
 func New(eng *engine.Engine, fleet *remote.ShardedBackend, cfg Config) *Daemon {
 	d := &Daemon{
 		cfg:     cfg.withDefaults(),
@@ -325,7 +325,7 @@ func (d *Daemon) dispatch(ctx context.Context, batch []item) {
 	}
 	if skipped == len(batch) && !d.isDraining() && ctx.Err() == nil {
 		// The whole batch failed at the backend level (empty fleet,
-		// every breaker open). Pause before requeueing so the attempt
+		// every worker failed). Pause before requeueing so the attempt
 		// budget spans worker re-registration instead of burning out in
 		// a hot loop.
 		time.Sleep(requeueBackoff)
@@ -493,8 +493,9 @@ func (d *Daemon) Close() {
 }
 
 // RegisterWorker health-checks the worker at addr and adds it to the
-// fleet; re-registering an existing worker closes its breaker (this is
-// the heartbeat path). It reports whether the fleet grew.
+// fleet; re-registering an existing worker marks it up again if a
+// failed run had marked it down (this is the heartbeat path). It
+// reports whether the fleet grew.
 func (d *Daemon) RegisterWorker(ctx context.Context, addr string) (added bool, err error) {
 	if d.fleet == nil {
 		return false, errors.New("service: daemon executes locally; worker registration needs a fleet backend")
@@ -511,8 +512,8 @@ func (d *Daemon) RegisterWorker(ctx context.Context, addr string) (added bool, e
 }
 
 // Stats snapshots the daemon: queue state, the engine's lifetime
-// cache-tier counters, the per-tenant delivery breakdown, and
-// per-worker breaker state when running on a fleet.
+// cache-tier counters, the per-tenant delivery breakdown, and which
+// workers are down when running on a fleet.
 func (d *Daemon) Stats() Stats {
 	d.mu.Lock()
 	st := Stats{

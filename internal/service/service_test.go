@@ -30,9 +30,8 @@ type countingBackend struct {
 	jobs int
 }
 
-func (b *countingBackend) Name() string                  { return "counting" }
-func (b *countingBackend) Capacity() int                 { return 4 }
-func (b *countingBackend) Healthy(context.Context) error { return nil }
+func (b *countingBackend) Name() string  { return "counting" }
+func (b *countingBackend) Capacity() int { return 4 }
 
 func (b *countingBackend) Run(ctx context.Context, jobs []engine.Job) ([]engine.Result, error) {
 	b.mu.Lock()
@@ -553,7 +552,7 @@ func TestSubmitRejectsDrift(t *testing.T) {
 }
 
 // TestWorkerRegistration pins the fleet-growing path: a real worker
-// registers over HTTP and joins the breaker-visible fleet; a
+// registers over HTTP and joins the fleet as an up worker; a
 // re-registration is a heartbeat (no growth); an unreachable address
 // is refused.
 func TestWorkerRegistration(t *testing.T) {
@@ -586,7 +585,7 @@ func TestWorkerRegistration(t *testing.T) {
 		t.Fatalf("re-registration = %+v (status %d), want heartbeat (not added, size 1)", rr, code)
 	}
 	if st := d.Stats(); len(st.Workers) != 1 || st.Workers[0].Excluded {
-		t.Fatalf("stats workers = %+v, want one closed-breaker worker", st.Workers)
+		t.Fatalf("stats workers = %+v, want one up worker", st.Workers)
 	}
 
 	if _, code := register("127.0.0.1:1"); code != http.StatusBadGateway {

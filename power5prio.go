@@ -713,7 +713,9 @@ type MatrixResult = experiments.MatrixResult
 // Cancelling ctx returns the partial matrix (Partial set; measured cells
 // intact, the rest absent) together with an error wrapping the
 // context's — and the completed cells stay cached, so re-running the
-// sweep resumes rather than restarts.
+// sweep resumes rather than restarts. A job that fails (a daemon giving
+// up on it, say) returns the partial matrix the same way, with a
+// "matrix incomplete" error naming the job.
 func (s *System) MeasureMatrix(ctx context.Context, primaries, secondaries []string, diffs []int) (*MatrixResult, error) {
 	if err := s.cacheReady(); err != nil {
 		return nil, err
@@ -737,10 +739,13 @@ func (s *System) MeasureMatrix(ctx context.Context, primaries, secondaries []str
 		h.Progress = func(r engine.Result) { fn(0, r) }
 	}
 	m, err := experiments.RunMatrix(ctx, h, primaries, secondaries, diffs)
-	if err != nil {
+	if err == nil {
+		return m, nil
+	}
+	if ctx != nil && ctx.Err() != nil {
 		return m, fmt.Errorf("power5prio: matrix cancelled: %w", err)
 	}
-	return m, nil
+	return m, fmt.Errorf("power5prio: matrix incomplete: %w", err)
 }
 
 // harness builds the experiments harness sharing this System's engine.
