@@ -53,6 +53,7 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"runtime"
 	"syscall"
 
 	"power5prio/internal/analytic"
@@ -153,7 +154,11 @@ func main() {
 		stopProfiles()
 		os.Exit(1)
 	}
-	mode := fmt.Sprintf("local pool (%d workers)", eng.Workers())
+	pool := *workers
+	if pool <= 0 {
+		pool = runtime.GOMAXPROCS(0)
+	}
+	mode := fmt.Sprintf("local pool (%d workers)", pool)
 	if fleet != nil {
 		mode = fmt.Sprintf("fleet (%d workers registered)", len(fleet.WorkerStates()))
 	}

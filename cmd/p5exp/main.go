@@ -110,7 +110,7 @@ func main() {
 	exit := func(code int) {
 		stopProfiles()
 		stats := h.Engine.Stats()
-		fmt.Fprintf(os.Stderr, "p5exp: engine: %s (%d workers)\n", stats, h.Engine.Workers())
+		fmt.Fprintf(os.Stderr, "p5exp: engine: %s\n", stats)
 		if code == 0 && *reqWarm && (stats.Simulated > 0 || stats.DiskMisses > 0) {
 			fmt.Fprintf(os.Stderr, "p5exp: -require-warm: cache was cold (%d simulated, %d disk misses)\n",
 				stats.Simulated, stats.DiskMisses)

@@ -14,10 +14,12 @@
 //	p5worker -register daemon:7551                # join a p5d daemon's fleet
 //
 // With -register, the worker announces itself to a p5d daemon on
-// startup and re-announces every heartbeat interval, so a daemon
-// started with -fleet grows its fleet as workers come up, and a worker
-// the daemon marked down after a failed run (crash, restart, network
-// partition) is readmitted on its next heartbeat. -advertise overrides
+// startup (retrying a refused first announce after 100 ms, then with
+// doubling pauses up to the heartbeat) and re-announces every
+// heartbeat interval, so a daemon started with -fleet grows its fleet
+// as workers come up, and a worker the daemon marked down after a
+// failed run (crash, restart, network partition) is readmitted on its
+// next heartbeat. -advertise overrides
 // the address the worker registers (needed behind NAT or when binding
 // a wildcard address).
 //
@@ -113,37 +115,14 @@ func main() {
 		if addr == "" {
 			addr = lis.Addr().String()
 		}
-		// Register now and on every heartbeat: the first call joins the
-		// daemon's fleet, repeats are cheap no-ops that double as the
-		// liveness signal marking this worker up again after a crash or
-		// partition. Registration failures are warnings, not fatal — the
-		// daemon may simply not be up yet.
-		announce := func() {
-			added, err := service.RegisterWorker(ctx, *register, addr)
-			switch {
-			case err != nil:
-				logf("register with %s: %v (will retry)", *register, err)
-			case added:
-				logf("registered %s with daemon %s", addr, *register)
-			}
-		}
-		// The goroutine announces immediately, but only once the server
-		// below is accepting: the daemon health-checks the advertised
-		// address before admitting it, so a synchronous announce here
-		// would always fail against our own not-yet-serving listener.
-		go func() {
-			announce()
-			t := time.NewTicker(*heartbeat)
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					announce()
-				case <-ctx.Done():
-					return
-				}
-			}
-		}()
+		// Register now, and again on every heartbeat: the first call
+		// joins the daemon's fleet (retried with a short backoff while
+		// the daemon is not up yet), repeats are cheap no-ops that double
+		// as the liveness signal marking this worker up again after a
+		// crash or partition. It runs beside the server below because
+		// the daemon health-checks the advertised address before
+		// admitting it.
+		go service.RegisterWorker(ctx, *register, addr, *heartbeat, logf)
 	}
 
 	var handler http.Handler = remote.NewServer(cfg).Handler()

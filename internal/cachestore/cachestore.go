@@ -17,10 +17,6 @@
 // caller recomputes (and the subsequent Put rewrites the entry clean). A
 // format bump changes the version directory, orphaning — never
 // misreading — old entries.
-//
-// Eviction. GC removes oldest-first (by modification time) until the
-// store fits a byte budget; opening with WithMaxBytes applies the budget
-// automatically as writes accumulate.
 package cachestore
 
 import (
@@ -31,7 +27,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -67,10 +62,8 @@ type Store struct {
 	root string // user-supplied directory
 	dir  string // versioned entry directory under root
 
-	mu       sync.Mutex
-	maxBytes int64
-	putsToGC int     // writes until the next automatic GC pass
-	putHook  PutHook // write-fault seam; nil passes writes through
+	mu      sync.Mutex
+	putHook PutHook // write-fault seam; nil passes writes through
 }
 
 // PutHook intercepts an entry write just before it reaches the staging
@@ -82,34 +75,12 @@ type Store struct {
 // filesystem behaviour underneath.
 type PutHook func(k Key, encoded []byte) ([]byte, error)
 
-// Option configures a Store at Open.
-type Option func(*Store)
-
-// gcEvery bounds how many writes may land between automatic GC passes
-// when a byte budget is set.
-const gcEvery = 64
-
 // putPrefix names Put's staging files; walkEntries ignores them.
 const putPrefix = "put-"
 
-// WithMaxBytes sets a byte budget: once writes accumulate, the store
-// periodically evicts oldest entries until it fits. n <= 0 (the default)
-// disables automatic eviction; GC can still be called explicitly.
-func WithMaxBytes(n int64) Option { return func(s *Store) { s.maxBytes = n } }
-
-// WithPutHook installs a write-fault hook at Open; see PutHook.
-func WithPutHook(h PutHook) Option { return func(s *Store) { s.putHook = h } }
-
 // Open creates (if needed) and returns the store rooted at dir.
-func Open(dir string, opts ...Option) (*Store, error) {
-	s := &Store{
-		root:     dir,
-		dir:      filepath.Join(dir, fmt.Sprintf("v%d", FormatVersion)),
-		putsToGC: gcEvery,
-	}
-	for _, o := range opts {
-		o(s)
-	}
+func Open(dir string) (*Store, error) {
+	s := &Store{root: dir, dir: filepath.Join(dir, fmt.Sprintf("v%d", FormatVersion))}
 	if err := os.MkdirAll(s.dir, 0o755); err != nil {
 		return nil, fmt.Errorf("cachestore: open %s: %w", dir, err)
 	}
@@ -119,8 +90,8 @@ func Open(dir string, opts ...Option) (*Store, error) {
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.root }
 
-// SetPutHook installs (or with nil, removes) the write-fault hook on a
-// store already open; see PutHook. Writes in flight keep the hook they
+// SetPutHook installs (or with nil, removes) the write-fault hook; see
+// PutHook. Writes in flight keep the hook they
 // started with.
 func (s *Store) SetPutHook(h PutHook) {
 	s.mu.Lock()
@@ -188,7 +159,6 @@ func (s *Store) Put(k Key, payload []byte) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("cachestore: put %s: %w", k, err)
 	}
-	s.maybeGC()
 	return nil
 }
 
@@ -262,63 +232,8 @@ func (s *Store) Verify(repair bool) (VerifyResult, error) {
 	return vr, err
 }
 
-// GC evicts oldest entries (by modification time) until the store's
-// total size fits maxBytes. It reports how many entries were removed and
-// how many bytes were reclaimed.
-func (s *Store) GC(maxBytes int64) (removed int, reclaimed int64, err error) {
-	s.sweepStaleTemps()
-	type entry struct {
-		path  string
-		size  int64
-		mtime int64
-	}
-	var entries []entry
-	var total int64
-	err = s.walkEntries(func(path string, fi fs.FileInfo) error {
-		entries = append(entries, entry{path: path, size: fi.Size(), mtime: fi.ModTime().UnixNano()})
-		total += fi.Size()
-		return nil
-	})
-	if err != nil || total <= maxBytes {
-		return 0, 0, err
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].mtime < entries[j].mtime })
-	for _, e := range entries {
-		if total <= maxBytes {
-			break
-		}
-		if err := os.Remove(e.path); err != nil {
-			if errors.Is(err, fs.ErrNotExist) {
-				continue // a concurrent GC got there first
-			}
-			return removed, reclaimed, fmt.Errorf("cachestore: gc: %w", err)
-		}
-		total -= e.size
-		removed++
-		reclaimed += e.size
-	}
-	return removed, reclaimed, nil
-}
-
-// maybeGC runs the automatic byte-budget eviction every gcEvery writes.
-func (s *Store) maybeGC() {
-	s.mu.Lock()
-	run := false
-	if s.maxBytes > 0 {
-		s.putsToGC--
-		if s.putsToGC <= 0 {
-			s.putsToGC = gcEvery
-			run = true
-		}
-	}
-	s.mu.Unlock()
-	if run {
-		s.GC(s.maxBytes) // best-effort; the next pass retries on error
-	}
-}
-
-// staleTempAge is how old a staging file must be before Verify/GC
-// treat it as an orphan of a crashed writer. A live Put holds its
+// staleTempAge is how old a staging file must be before Verify
+// treats it as an orphan of a crashed writer. A live Put holds its
 // staging file for milliseconds (plus arbitrary scheduler delay, hence
 // the generous margin); anything this old has no writer left to rename
 // it and would otherwise leak disk forever.
@@ -342,15 +257,15 @@ func (s *Store) sweepStaleTemps() {
 
 // walkEntries visits every entry file in the versioned directory.
 // In-flight staging files (Put's temp files, pre-rename) are not
-// entries and are skipped: unlinking one from a concurrent Verify or
-// GC would make the writer's rename fail, so a store shared between
+// entries and are skipped: unlinking one from a concurrent Verify
+// would make the writer's rename fail, so a store shared between
 // processes could not be administered while in use. Orphaned staging
 // files are reclaimed separately (sweepStaleTemps).
 func (s *Store) walkEntries(fn func(path string, fi fs.FileInfo) error) error {
 	return filepath.WalkDir(s.dir, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			if errors.Is(err, fs.ErrNotExist) {
-				return nil // raced with Clear/GC
+				return nil // raced with Clear or a removal
 			}
 			return err
 		}

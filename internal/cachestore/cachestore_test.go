@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 )
 
 func testKey(t *testing.T, v any) Key {
@@ -20,9 +19,9 @@ func testKey(t *testing.T, v any) Key {
 	return k
 }
 
-func openStore(t *testing.T, opts ...Option) *Store {
+func openStore(t *testing.T) *Store {
 	t.Helper()
-	s, err := Open(t.TempDir(), opts...)
+	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -226,71 +225,8 @@ func TestVerify(t *testing.T) {
 	}
 }
 
-func TestGC(t *testing.T) {
-	s := openStore(t)
-	payload := bytes.Repeat([]byte("x"), 100)
-	now := time.Now()
-	var keys []Key
-	for i := 0; i < 10; i++ {
-		k := testKey(t, i)
-		keys = append(keys, k)
-		if err := s.Put(k, payload); err != nil {
-			t.Fatal(err)
-		}
-		// Spread modification times so "oldest" is well-defined.
-		mt := now.Add(time.Duration(i-10) * time.Minute)
-		if err := os.Chtimes(s.EntryPath(k), mt, mt); err != nil {
-			t.Fatal(err)
-		}
-	}
-	info, _ := s.Info()
-	perEntry := info.Bytes / 10
-
-	removed, reclaimed, err := s.GC(perEntry * 4)
-	if err != nil {
-		t.Fatalf("GC: %v", err)
-	}
-	if removed != 6 || reclaimed != perEntry*6 {
-		t.Fatalf("GC removed %d (%d bytes), want 6 (%d bytes)", removed, reclaimed, perEntry*6)
-	}
-	// The oldest six went; the newest four stayed.
-	for i, k := range keys {
-		_, err := s.Get(k)
-		if i < 6 && !errors.Is(err, ErrNotFound) {
-			t.Errorf("old entry %d survived GC (err %v)", i, err)
-		}
-		if i >= 6 && err != nil {
-			t.Errorf("new entry %d evicted: %v", i, err)
-		}
-	}
-	// Under budget: a no-op.
-	if removed, _, err := s.GC(perEntry * 4); err != nil || removed != 0 {
-		t.Fatalf("GC under budget removed %d, %v", removed, err)
-	}
-}
-
-// TestAutoGC: a store opened with a byte budget evicts on its own as
-// writes accumulate.
-func TestAutoGC(t *testing.T) {
-	payload := bytes.Repeat([]byte("y"), 1000)
-	entryBytes := int64(headerSize + len(payload))
-	s := openStore(t, WithMaxBytes(entryBytes*8))
-	for i := 0; i < 2*gcEvery; i++ {
-		if err := s.Put(testKey(t, i), payload); err != nil {
-			t.Fatal(err)
-		}
-	}
-	info, err := s.Info()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Bytes > entryBytes*int64(8+gcEvery) {
-		t.Fatalf("auto-GC never ran: %d entries, %d bytes", info.Entries, info.Bytes)
-	}
-}
-
 // TestConcurrentSharedDir is the -race coverage for one cache directory
-// shared by concurrent readers, writers, verifiers and collectors across
+// shared by concurrent readers, writers, verifiers and scanners across
 // two Store handles — the normal state of affairs when parallel engine
 // workers and a second process share a cache.
 func TestConcurrentSharedDir(t *testing.T) {
@@ -334,8 +270,8 @@ func TestConcurrentSharedDir(t *testing.T) {
 						t.Errorf("Verify: %v", err)
 					}
 				case 3:
-					if _, _, err := s.GC(1 << 20); err != nil {
-						t.Errorf("GC: %v", err)
+					if _, err := s.Info(); err != nil {
+						t.Errorf("Info: %v", err)
 					}
 				}
 			}

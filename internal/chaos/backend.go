@@ -27,20 +27,12 @@ func WrapBackend(b engine.Backend, inj *Injector) *Backend {
 // Name identifies the wrapper in diagnostics.
 func (b *Backend) Name() string { return "chaos(" + b.inner.Name() + ")" }
 
-// Capacity forwards to the wrapped backend.
-func (b *Backend) Capacity() int { return b.inner.Capacity() }
-
-// Run implements engine.Backend; see RunProgress.
-func (b *Backend) Run(ctx context.Context, jobs []engine.Job) ([]engine.Result, error) {
-	return b.RunProgress(ctx, jobs, nil)
-}
-
 // RunProgress consults the plan once per batch, then executes through
 // the wrapped backend — whole, delayed, or cut short mid-batch.
 func (b *Backend) RunProgress(ctx context.Context, jobs []engine.Job, done func(i int, r engine.Result)) ([]engine.Result, error) {
 	d := b.inj.decide(OpRun, b.inner.Name())
 	if d == nil {
-		return b.runInner(ctx, jobs, done)
+		return b.inner.RunProgress(ctx, jobs, done)
 	}
 	switch d.fault {
 	case FaultSlow:
@@ -56,13 +48,13 @@ func (b *Backend) RunProgress(ctx context.Context, jobs []engine.Job, done func(
 			}
 			return out, nil
 		}
-		return b.runInner(ctx, jobs, done)
+		return b.inner.RunProgress(ctx, jobs, done)
 	case FaultCrash, FaultSkip:
 		// Execute the leading half, strand the rest — the shape of a
 		// worker dying (crash: with a backend-level error) or silently
 		// dropping work (skip: no error at all).
 		n := len(jobs) / 2
-		prefix, innerErr := b.runInner(ctx, jobs[:n], done)
+		prefix, innerErr := b.inner.RunProgress(ctx, jobs[:n], done)
 		var cause error
 		if d.fault == FaultCrash {
 			cause = fmt.Errorf("chaos: injected worker crash after %d of %d jobs (rule %d)", n, len(jobs), d.rule)
@@ -85,19 +77,6 @@ func (b *Backend) RunProgress(ctx context.Context, jobs []engine.Job, done func(
 		}
 		return out, nil
 	default:
-		return b.runInner(ctx, jobs, done)
+		return b.inner.RunProgress(ctx, jobs, done)
 	}
-}
-
-func (b *Backend) runInner(ctx context.Context, jobs []engine.Job, done func(i int, r engine.Result)) ([]engine.Result, error) {
-	if pb, ok := b.inner.(engine.ProgressBackend); ok {
-		return pb.RunProgress(ctx, jobs, done)
-	}
-	out, err := b.inner.Run(ctx, jobs)
-	if done != nil {
-		for i, r := range out {
-			done(i, r)
-		}
-	}
-	return out, err
 }

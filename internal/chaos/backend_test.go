@@ -18,16 +18,18 @@ type fakeBackend struct {
 	jobs int
 }
 
-func (b *fakeBackend) Name() string  { return "fake" }
-func (b *fakeBackend) Capacity() int { return 4 }
+func (b *fakeBackend) Name() string { return "fake" }
 
-func (b *fakeBackend) Run(ctx context.Context, jobs []engine.Job) ([]engine.Result, error) {
+func (b *fakeBackend) RunProgress(ctx context.Context, jobs []engine.Job, done func(int, engine.Result)) ([]engine.Result, error) {
 	b.mu.Lock()
 	b.jobs += len(jobs)
 	b.mu.Unlock()
 	out := make([]engine.Result, len(jobs))
 	for i, j := range jobs {
 		out[i] = engine.Result{Job: j, Pair: fame.PairResult{TotalIPC: j.IterScale}}
+		if done != nil {
+			done(i, out[i])
+		}
 	}
 	return out, nil
 }
@@ -80,7 +82,7 @@ func TestBackendCrash(t *testing.T) {
 	}
 
 	// Count: 1 — the next batch passes through whole.
-	out, err = b.Run(context.Background(), chaosJobs(3))
+	out, err = b.RunProgress(context.Background(), chaosJobs(3), nil)
 	if err != nil {
 		t.Fatalf("post-cap run: %v", err)
 	}
@@ -96,7 +98,7 @@ func TestBackendCrash(t *testing.T) {
 // on, exactly the shape the daemon's requeue path must absorb.
 func TestBackendSkip(t *testing.T) {
 	b := WrapBackend(&fakeBackend{}, NewInjector(Plan{Rules: []Rule{{Op: OpRun, Fault: FaultSkip, Count: 1}}}))
-	out, err := b.Run(context.Background(), chaosJobs(4))
+	out, err := b.RunProgress(context.Background(), chaosJobs(4), nil)
 	if err != nil {
 		t.Fatalf("skip fault must not fail the call: %v", err)
 	}
@@ -123,7 +125,7 @@ func TestBackendSlow(t *testing.T) {
 
 	b := WrapBackend(&fakeBackend{}, NewInjector(plan))
 	start := time.Now()
-	out, err := b.Run(context.Background(), chaosJobs(2))
+	out, err := b.RunProgress(context.Background(), chaosJobs(2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +140,7 @@ func TestBackendSlow(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	out, err = WrapBackend(&fakeBackend{}, NewInjector(plan)).Run(ctx, chaosJobs(2))
+	out, err = WrapBackend(&fakeBackend{}, NewInjector(plan)).RunProgress(ctx, chaosJobs(2), nil)
 	if err != nil {
 		t.Fatalf("cancelled slow run must not fail the call: %v", err)
 	}

@@ -1,7 +1,7 @@
 // Package chaos is the deterministic fault-injection harness for the
 // serving stack: a seeded fault plan drives decorators wrapped around
-// the stack's existing seams — an engine.Backend (worker crash
-// mid-batch, straggler, skip-without-error), an http.RoundTripper and
+// the stack's existing seams — an engine.Backend's RunProgress (worker
+// crash mid-batch, straggler, skip-without-error), an http.RoundTripper and
 // server middleware (connection reset, mid-stream truncation, delayed
 // responses, 5xx bursts), and a cachestore put hook (full disk, torn
 // writes) — so resilience is tested systematically instead of
@@ -29,7 +29,7 @@ import (
 type Op string
 
 const (
-	// OpRun matches one Backend.Run/RunProgress call (target: the
+	// OpRun matches one Backend.RunProgress call (target: the
 	// wrapped backend's Name).
 	OpRun Op = "run"
 	// OpHTTP matches one HTTP request, on the client RoundTripper or

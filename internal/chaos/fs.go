@@ -11,7 +11,7 @@ import (
 // rules (matched against the entry key's hex spelling). FaultENOSPC
 // fails the write the way a full disk does; FaultTornWrite persists
 // only an entry prefix, which the store's checksum must detect on the
-// next read. Install with cachestore.WithPutHook or Store.SetPutHook.
+// next read. Install with Store.SetPutHook.
 func PutHook(inj *Injector) cachestore.PutHook {
 	return func(k cachestore.Key, encoded []byte) ([]byte, error) {
 		d := inj.decide(OpPut, k.String())

@@ -24,10 +24,9 @@ type synthBackend struct {
 	jobs int
 }
 
-func (b *synthBackend) Name() string  { return "synth" }
-func (b *synthBackend) Capacity() int { return 4 }
+func (b *synthBackend) Name() string { return "synth" }
 
-func (b *synthBackend) Run(ctx context.Context, jobs []engine.Job) ([]engine.Result, error) {
+func (b *synthBackend) RunProgress(ctx context.Context, jobs []engine.Job, _ func(int, engine.Result)) ([]engine.Result, error) {
 	b.mu.Lock()
 	b.jobs += len(jobs)
 	b.mu.Unlock()

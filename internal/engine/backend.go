@@ -19,31 +19,23 @@ import (
 // bit-identical results for the same job — which is what lets backends
 // be swapped, sharded and retried freely.
 //
-// Contract: Run returns one Result per job, in submission order. Job
-// failures (bad workload name, invalid config) are reported in
-// Result.Err, never as Run's error; Run's own error is reserved for
-// backend-level failures (e.g. every remote worker unreachable). Jobs
-// that were never attempted — the batch context was cancelled, or the
-// backend failed first — must carry Skipped set so the engine does not
-// cache their errors. A backend must be safe for concurrent Run calls.
+// Contract: RunProgress returns one Result per job, in submission
+// order, and may report each job's result early through done (which
+// may be nil): at most one call per index, from any goroutine, every
+// call returned before RunProgress returns; indices it never reports
+// are taken from the returned slice. The engine uses done to fire user
+// progress callbacks as results land instead of at batch end, and a
+// backend may ignore it. Job failures (bad workload name, invalid
+// config) are reported in Result.Err, never as the returned error,
+// which is reserved for backend-level failures (e.g. every remote
+// worker unreachable). Jobs that were never attempted — the batch
+// context was cancelled, or the backend failed first — must carry
+// Skipped set so the engine does not cache their errors. A backend
+// must be safe for concurrent calls.
 type Backend interface {
 	// Name identifies the backend in diagnostics.
 	Name() string
-	// Capacity is the number of jobs the backend can usefully execute
-	// concurrently (a scheduling hint, not a hard bound).
-	Capacity() int
-	// Run executes jobs and returns their results in order.
-	Run(ctx context.Context, jobs []Job) ([]Result, error)
-}
-
-// ProgressBackend is optionally implemented by backends that can report
-// per-job completion while a batch is still running. done(i, r) must be
-// called at most once per index, from any goroutine, and every call
-// must have returned before Run returns; indices not reported through
-// done are taken from the returned slice. The engine uses this to fire
-// user progress callbacks as results land instead of at batch end.
-type ProgressBackend interface {
-	Backend
+	// RunProgress executes jobs and returns their results in order.
 	RunProgress(ctx context.Context, jobs []Job, done func(i int, r Result)) ([]Result, error)
 }
 
@@ -59,7 +51,7 @@ type ProgressBackend interface {
 // only for batches that carry per-job modes or run under an enabled
 // default mode, and RunProgress otherwise.
 type EstimateBackend interface {
-	ProgressBackend
+	Backend
 	RunEstimate(ctx context.Context, jobs []Job, modes []EstimateMode, done func(i int, r Result)) ([]Result, error)
 }
 
@@ -88,12 +80,12 @@ type RemoteStatser interface {
 // engine's default backend and the reference semantics every other
 // backend must match bit-for-bit.
 //
-// The capacity bound is global across concurrent Run calls: however
-// many batches are in flight (concurrent engine batches in one
-// process, or concurrent requests on a p5worker), at most Capacity
+// The pool bound is global across concurrent RunProgress calls:
+// however many batches are in flight (concurrent engine batches in one
+// process, or concurrent requests on a p5worker), at most workers
 // simulations execute at once.
 type LocalBackend struct {
-	sem chan struct{} // capacity tokens, shared by every Run call
+	sem chan struct{} // pool tokens, shared by every RunProgress call
 	reg *workload.Registry
 }
 
@@ -113,24 +105,13 @@ func NewLocalBackend(workers int, reg *workload.Registry) *LocalBackend {
 // Name identifies the backend.
 func (b *LocalBackend) Name() string { return "local" }
 
-// Registry returns the registry the backend resolves job refs in.
-func (b *LocalBackend) Registry() *workload.Registry { return b.reg }
-
-// Capacity returns the worker-pool bound.
-func (b *LocalBackend) Capacity() int { return cap(b.sem) }
-
-// Run executes the batch on the pool; see RunProgress.
-func (b *LocalBackend) Run(ctx context.Context, jobs []Job) ([]Result, error) {
-	return b.RunProgress(ctx, jobs, nil)
-}
-
 // RunProgress executes each job exactly once, reporting results as
-// they land. Jobs start in submission order, each gated on a capacity
-// token shared across every Run call on this backend. Cancelling ctx
-// stops dispatch: in-flight jobs run to completion, jobs that never
-// started return Skipped results carrying the context's error (with
-// one worker, the completed jobs form exactly the leading prefix of
-// the batch). The returned error is always nil: the local pool has no
+// they land. Jobs start in submission order, each gated on a pool
+// token shared across every call on this backend. Cancelling ctx stops
+// dispatch: in-flight jobs run to completion, jobs that never started
+// return Skipped results carrying the context's error (with one worker,
+// the completed jobs form exactly the leading prefix of the batch).
+// The returned error is always nil: the local pool has no
 // backend-level failure mode.
 func (b *LocalBackend) RunProgress(ctx context.Context, jobs []Job, done func(i int, r Result)) ([]Result, error) {
 	if ctx == nil {

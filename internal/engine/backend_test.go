@@ -14,19 +14,18 @@ import (
 	"power5prio/internal/prio"
 )
 
-// plainBackend is a minimal Backend without the progress extension: it
-// executes locally but only reports through the returned slice, plus
+// plainBackend is a minimal Backend whose RunProgress never calls done:
+// it executes locally but only reports through the returned slice, plus
 // fake remote counters — covering the engine's non-streaming path and
 // the RemoteStatser fold.
 type plainBackend struct {
-	fail error // when set, Run fails wholesale
+	fail error // when set, RunProgress fails wholesale
 	rs   RemoteStats
 }
 
 func (p *plainBackend) Name() string             { return "plain" }
-func (p *plainBackend) Capacity() int            { return 2 }
 func (p *plainBackend) RemoteStats() RemoteStats { return p.rs }
-func (p *plainBackend) Run(ctx context.Context, jobs []Job) ([]Result, error) {
+func (p *plainBackend) RunProgress(ctx context.Context, jobs []Job, _ func(int, Result)) ([]Result, error) {
 	if p.fail != nil {
 		return nil, p.fail
 	}
@@ -39,10 +38,10 @@ func (p *plainBackend) Run(ctx context.Context, jobs []Job) ([]Result, error) {
 	return out, nil
 }
 
-// TestWithBackendPlain: an engine over a Backend that lacks RunProgress
-// still resolves every job, fans results to duplicates, fires progress
-// exactly once per index, and folds the backend's remote counters into
-// Stats.
+// TestWithBackendPlain: an engine over a Backend that never reports
+// through done still resolves every job, fans results to duplicates,
+// fires progress exactly once per index, and folds the backend's remote
+// counters into Stats.
 func TestWithBackendPlain(t *testing.T) {
 	jobs := testBatch(t) // 7 jobs, 5 unique
 	pb := &plainBackend{}
@@ -50,10 +49,6 @@ func TestWithBackendPlain(t *testing.T) {
 	if e.Backend() != Backend(pb) {
 		t.Fatal("Backend() does not return the installed backend")
 	}
-	if e.Workers() != 2 {
-		t.Errorf("Workers() = %d, want the backend capacity 2", e.Workers())
-	}
-
 	want := New(1).Run(nil, jobs)
 	seen := make(map[int]int)
 	got := e.RunFunc(nil, jobs, func(i int, r Result) { seen[i]++ })
@@ -74,9 +69,6 @@ func TestWithBackendPlain(t *testing.T) {
 	}
 	if !strings.Contains(st.String(), "remote: 5 jobs") {
 		t.Errorf("Stats.String() = %q, want remote counters", st.String())
-	}
-	if e.Workers() != 2 {
-		t.Errorf("Workers() = %d, want the backend's capacity 2", e.Workers())
 	}
 }
 
@@ -108,18 +100,15 @@ func TestBackendFailure(t *testing.T) {
 }
 
 // TestLocalBackendDirect: the extracted pool honours the Backend
-// contract directly — results in order, default capacity.
+// contract directly — results in order, skipped when cancelled.
 func TestLocalBackendDirect(t *testing.T) {
 	b := NewLocalBackend(3, nil)
-	if b.Name() != "local" || b.Capacity() != 3 {
-		t.Fatalf("Name/Capacity = %q/%d", b.Name(), b.Capacity())
-	}
-	if c := NewLocalBackend(0, nil).Capacity(); c < 1 {
-		t.Errorf("NewLocalBackend(0) capacity %d, want GOMAXPROCS", c)
+	if b.Name() != "local" {
+		t.Fatalf("Name = %q", b.Name())
 	}
 
 	jobs := testBatch(t)[:3]
-	res, err := b.Run(nil, jobs)
+	res, err := b.RunProgress(nil, jobs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +122,7 @@ func TestLocalBackendDirect(t *testing.T) {
 	// Pre-cancelled: everything is a skipped result, nothing runs.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err = b.Run(ctx, jobs)
+	res, err = b.RunProgress(ctx, jobs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,10 +135,9 @@ func TestLocalBackendDirect(t *testing.T) {
 
 // TestForEachBoundedLocally: ForEach work always runs in-process, so
 // its concurrency follows the engine's local worker count — not the
-// backend's capacity (a remote fleet's capacity says nothing about
-// this machine).
+// backend (a remote fleet's size says nothing about this machine).
 func TestForEachBoundedLocally(t *testing.T) {
-	pb := &plainBackend{} // capacity 2
+	pb := &plainBackend{}
 	e := NewWith(1, nil, WithBackend(pb))
 	var cur atomic.Int32
 	if err := e.ForEach(nil, 6, func(int) {
@@ -163,8 +151,8 @@ func TestForEachBoundedLocally(t *testing.T) {
 	}
 }
 
-// TestLocalBackendGlobalBound: the capacity tokens are shared across
-// concurrent Run calls on one backend — the contract that keeps a
+// TestLocalBackendGlobalBound: the pool tokens are shared across
+// concurrent calls on one backend — the contract that keeps a
 // p5worker's -workers a real limit under several clients. The bound
 // itself is channel semantics; what needs pinning is that concurrent
 // batches share the one token without deadlocking and stay correct.
@@ -180,7 +168,7 @@ func TestLocalBackendGlobalBound(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := b.Run(nil, jobs)
+			res, err := b.RunProgress(nil, jobs, nil)
 			if err != nil {
 				t.Error(err)
 				return

@@ -2,12 +2,13 @@
 // path: experiments, the public System API and the command-line tools all
 // describe their simulations as Jobs and submit them in batches. The
 // engine memoizes results in a content-keyed cache and hands the unique
-// uncached jobs to a pluggable Backend — the in-process worker pool
-// (LocalBackend) by default, or remote/sharded backends
-// (internal/remote) that run the same jobs on other machines — so a
-// baseline shared by several sweeps (e.g. the (4,4) co-run of Figures
-// 2-4, or a benchmark's single-thread IPC) is simulated exactly once,
-// wherever execution happens.
+// uncached jobs to a pluggable Backend (Name and RunProgress) — the
+// in-process worker pool (LocalBackend) by default, a p5d daemon's
+// worker fleet (internal/remote), or a daemon client (internal/service)
+// that runs the same jobs elsewhere — so a baseline shared by several
+// sweeps (e.g. the (4,4) co-run of Figures 2-4, or a benchmark's
+// single-thread IPC) is simulated exactly once, wherever execution
+// happens.
 //
 // The cache has two tiers: the in-memory map, and an optional persistent
 // store (WithStore) keyed by a stable hash of the full Job, so repeated
@@ -189,16 +190,16 @@ func (s Stats) String() string {
 // Engine is a job scheduler with a content-keyed result cache and a
 // workload registry that resolves job Refs to kernels. Execution is
 // delegated to a pluggable Backend — the in-process worker pool by
-// default, or remote/sharded backends (internal/remote) that run the
-// same jobs on other machines with identical results. The zero value is
-// not usable; call New. An Engine is safe for concurrent use.
+// default, or a fleet or daemon client that runs the same jobs on
+// other machines with identical results. The zero value is not usable;
+// call New. An Engine is safe for concurrent use.
 type Engine struct {
 	mu      sync.Mutex
 	backend Backend
 	// localWorkers bounds in-process concurrency for work that never
 	// reaches the backend (ForEach): with a remote backend, the fleet's
-	// capacity says nothing about how many simulations this machine
-	// should run at once.
+	// size says nothing about how many simulations this machine should
+	// run at once.
 	localWorkers int
 	reg          *workload.Registry
 	store        *cachestore.Store
@@ -283,9 +284,6 @@ func (e *Engine) Registry() *workload.Registry { return e.reg }
 
 // Backend returns the engine's execution backend.
 func (e *Engine) Backend() Backend { return e.backend }
-
-// Workers returns the backend's concurrency capacity.
-func (e *Engine) Workers() int { return e.backend.Capacity() }
 
 // Stats returns a snapshot of the lifetime counters. On an engine with
 // a remote backend, the backend's remote counters are folded in.
@@ -522,7 +520,7 @@ type batchKey struct {
 // deliver(k, r) exactly once. The persistent tier is probed first,
 // outside the engine lock because each probe is file I/O that must not
 // stall concurrent batches; the rest run as one backend batch, reported
-// live when the backend offers RunProgress and from the returned slice
+// live through the backend's done callback and from the returned slice
 // (or a synthesized backend-failure result) for anything left over.
 func (e *Engine) execute(ctx context.Context, jobs []Job, modes []EstimateMode, flights []*flight, nFollowers []int, deliver func(k int, r Result)) {
 	var mu sync.Mutex
@@ -568,10 +566,8 @@ func (e *Engine) execute(ctx context.Context, jobs []Job, modes []EstimateMode, 
 			batchModes[i] = modes[k]
 		}
 		results, err = eb.RunEstimate(ctx, batch, batchModes, done)
-	} else if pb, ok := e.backend.(ProgressBackend); ok {
-		results, err = pb.RunProgress(ctx, batch, done)
 	} else {
-		results, err = e.backend.Run(ctx, batch)
+		results, err = e.backend.RunProgress(ctx, batch, done)
 	}
 	for i, j := range batch {
 		if i < len(results) {

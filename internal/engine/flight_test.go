@@ -13,28 +13,27 @@ import (
 	"power5prio/internal/prio"
 )
 
-// gatedBackend is a Backend whose first Run call blocks until gate is
+// gatedBackend is a Backend whose first call blocks until gate is
 // closed (honouring ctx like the real backends: cancellation returns
 // Skipped results), so tests can hold a job in flight while a second
 // batch submits it. Results are synthesized — flight behaviour does not
 // depend on simulation.
 type gatedBackend struct {
-	gate    chan struct{} // first Run blocks on it when set
-	started chan struct{} // closed when the first Run begins
-	// answer synthesizes Run call n's (from 1) result for a job; nil
+	gate    chan struct{} // first call blocks on it when set
+	started chan struct{} // closed when the first call begins
+	// answer synthesizes call n's (from 1) result for a job; nil
 	// answers every job with a plain success.
 	answer func(n int, j Job) Result
 
 	once sync.Once
 	mu   sync.Mutex
-	runs int // Run calls
-	jobs int // jobs across all Run calls
+	runs int // RunProgress calls
+	jobs int // jobs across all calls
 }
 
-func (g *gatedBackend) Name() string  { return "gated" }
-func (g *gatedBackend) Capacity() int { return 2 }
+func (g *gatedBackend) Name() string { return "gated" }
 
-func (g *gatedBackend) Run(ctx context.Context, jobs []Job) ([]Result, error) {
+func (g *gatedBackend) RunProgress(ctx context.Context, jobs []Job, _ func(int, Result)) ([]Result, error) {
 	g.mu.Lock()
 	g.runs++
 	n := g.runs
@@ -347,15 +346,11 @@ type tierZeroBackend struct {
 	sent [][]EstimateMode // modes of each RunEstimate call
 }
 
-func (b *tierZeroBackend) RunProgress(ctx context.Context, jobs []Job, _ func(int, Result)) ([]Result, error) {
-	return b.Run(ctx, jobs)
-}
-
 func (b *tierZeroBackend) RunEstimate(ctx context.Context, jobs []Job, modes []EstimateMode, _ func(int, Result)) ([]Result, error) {
 	b.mu.Lock()
 	b.sent = append(b.sent, append([]EstimateMode(nil), modes...))
 	b.mu.Unlock()
-	out, err := b.Run(ctx, jobs)
+	out, err := b.RunProgress(ctx, jobs, nil)
 	for i, m := range modes {
 		if !out[i].Skipped && (m.serves(b.bar) || b.lie && m.Enabled) {
 			var pair fame.PairResult

@@ -153,8 +153,8 @@ type failingBackend struct {
 	fail engine.Job
 }
 
-func (b failingBackend) Run(ctx context.Context, jobs []engine.Job) ([]engine.Result, error) {
-	out, err := b.Backend.Run(ctx, jobs)
+func (b failingBackend) RunProgress(ctx context.Context, jobs []engine.Job, _ func(int, engine.Result)) ([]engine.Result, error) {
+	out, err := b.Backend.RunProgress(ctx, jobs, nil)
 	for i, j := range jobs {
 		if j == b.fail {
 			out[i] = engine.Result{Job: j, Err: errors.New("service: job gave up after 5 dispatch attempts")}

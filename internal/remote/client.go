@@ -23,13 +23,12 @@ import (
 const DefaultMaxInFlight = 16
 
 // HTTPBackend executes jobs on one remote worker over the JSON
-// protocol. It implements engine.Backend; wrap several in a
-// ShardedBackend to fan batches out across a fleet. The zero value is
+// protocol. It is a fleet Worker; wrap several in a ShardedBackend to
+// fan batches out across a fleet. The zero value is
 // not usable; call NewHTTPBackend.
 type HTTPBackend struct {
-	base     string // http://host:port
-	client   *http.Client
-	inflight int // Capacity: DefaultMaxInFlight (tests lower it)
+	base   string // http://host:port
+	client *http.Client
 
 	mu sync.Mutex
 	rs engine.RemoteStats
@@ -45,18 +44,13 @@ func NewHTTPBackend(addr string) *HTTPBackend {
 		base = "http://" + base
 	}
 	return &HTTPBackend{
-		base:     strings.TrimRight(base, "/"),
-		client:   &http.Client{},
-		inflight: DefaultMaxInFlight,
+		base:   strings.TrimRight(base, "/"),
+		client: &http.Client{},
 	}
 }
 
 // Name identifies the worker in diagnostics.
 func (b *HTTPBackend) Name() string { return "remote(" + b.base + ")" }
-
-// Capacity is the per-worker in-flight limit — the chunk size a
-// ShardedBackend dispatches to this worker.
-func (b *HTTPBackend) Capacity() int { return b.inflight }
 
 // RemoteStats returns the backend's lifetime remote counters.
 func (b *HTTPBackend) RemoteStats() engine.RemoteStats {
@@ -96,7 +90,7 @@ func (b *HTTPBackend) Healthy(ctx context.Context) error {
 }
 
 // Run posts the batch to the worker in one request; the fleet already
-// chunks batches to Capacity. A worker-level failure (unreachable, bad
+// chunks batches to DefaultMaxInFlight. A worker-level failure (unreachable, bad
 // protocol, non-2xx) returns every job Skipped carrying the failure,
 // and the failure is also returned as Run's error so the sharding layer
 // can mark the worker down. Job-level errors are never retried here —

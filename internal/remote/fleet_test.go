@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-// scriptedWorker is a controllable engine.Backend for fleet tests: run
+// scriptedWorker is a controllable fleet Worker for fleet tests: run
 // behavior flips per test step, and every run is counted.
 type scriptedWorker struct {
 	name string
@@ -22,8 +22,7 @@ type scriptedWorker struct {
 	runs    int
 }
 
-func (w *scriptedWorker) Name() string  { return w.name }
-func (w *scriptedWorker) Capacity() int { return 4 }
+func (w *scriptedWorker) Name() string { return w.name }
 
 func (w *scriptedWorker) Run(_ context.Context, jobs []Job) ([]Result, error) {
 	w.mu.Lock()
@@ -91,7 +90,7 @@ func wantExcluded(t *testing.T, s *ShardedBackend, want ...bool) {
 }
 
 // wantChunkSkipped checks a batch in which exactly one worker failed:
-// the batch error names it, its one chunk (Capacity 4 jobs) came back
+// the batch error names it, its one chunk (4 jobs) came back
 // Skipped with its error, and every other job completed.
 func wantChunkSkipped(t *testing.T, res []Result, err error, worker string) {
 	t.Helper()
@@ -132,17 +131,18 @@ func TestFleetMembership(t *testing.T) {
 	good := &scriptedWorker{name: "good"}
 	bad := &scriptedWorker{name: "bad", failRun: true}
 	s := NewDynamic(good, bad)
+	s.chunk = 4 // an 8-job batch is one chunk per worker
 
 	// bad fails its chunk, which comes back skipped for the caller to
 	// requeue; good completes the rest, and bad is marked down.
 	interleave(good, bad)
-	res, err := s.Run(nil, dummyJobs(8))
+	res, err := s.RunProgress(nil, dummyJobs(8), nil)
 	wantChunkSkipped(t, res, err, "bad")
 	wantExcluded(t, s, false, true)
 
 	// Recovered but not yet heartbeating, bad takes no chunk.
 	bad.set(false)
-	if _, err := s.Run(nil, dummyJobs(8)); err != nil {
+	if _, err := s.RunProgress(nil, dummyJobs(8), nil); err != nil {
 		t.Fatalf("batch with bad down: %v", err)
 	}
 	if runs := bad.runCount(); runs != 1 {
@@ -155,7 +155,7 @@ func TestFleetMembership(t *testing.T) {
 	good.mu.Lock()
 	good.failRun, good.cancel = true, cancel
 	good.mu.Unlock()
-	if _, err := s.Run(ctx, dummyJobs(8)); err != nil {
+	if _, err := s.RunProgress(ctx, dummyJobs(8), nil); err != nil {
 		t.Fatalf("cancelled batch returned batch error: %v", err)
 	}
 	wantExcluded(t, s, false, true)
@@ -169,7 +169,7 @@ func TestFleetMembership(t *testing.T) {
 	}
 	wantExcluded(t, s, false, false)
 	interleave(good, bad)
-	if _, err := s.Run(nil, dummyJobs(8)); err != nil {
+	if _, err := s.RunProgress(nil, dummyJobs(8), nil); err != nil {
 		t.Fatalf("batch after readmission: %v", err)
 	}
 	if runs := bad.runCount(); runs != 2 {
@@ -181,7 +181,7 @@ func TestFleetMembership(t *testing.T) {
 	good.set(true)
 	bad.set(true)
 	interleave(good, bad)
-	res, err = s.Run(nil, dummyJobs(8))
+	res, err = s.RunProgress(nil, dummyJobs(8), nil)
 	if err == nil || !strings.Contains(err.Error(), "good: boom") || !strings.Contains(err.Error(), "bad: boom") {
 		t.Fatalf("batch error = %v, want both workers' failures", err)
 	}
@@ -197,7 +197,7 @@ func TestFleetMembership(t *testing.T) {
 	good.set(false)
 	bad.set(false)
 	interleave(good, bad)
-	res, err = s.Run(nil, dummyJobs(8))
+	res, err = s.RunProgress(nil, dummyJobs(8), nil)
 	if err != nil {
 		t.Fatalf("recovered fleet batch: %v", err)
 	}
@@ -215,7 +215,7 @@ func TestFleetMembership(t *testing.T) {
 // empty successes), once — the daemon's requeue owns the retry.
 func TestSkippedWithoutError(t *testing.T) {
 	w := &scriptedWorker{name: "skipper", skipRun: true}
-	res, err := NewDynamic(w).Run(nil, dummyJobs(3))
+	res, err := NewDynamic(w).RunProgress(nil, dummyJobs(3), nil)
 	if err != nil {
 		t.Fatalf("batch error = %v, want nil (the worker did not fail)", err)
 	}
@@ -235,7 +235,7 @@ func TestSkippedWithoutError(t *testing.T) {
 // marks it up instead of duplicating it.
 func TestDynamicFleetRegistration(t *testing.T) {
 	s := NewDynamic()
-	_, err := s.Run(nil, dummyJobs(2))
+	_, err := s.RunProgress(nil, dummyJobs(2), nil)
 	if err == nil || !strings.Contains(err.Error(), "no workers") {
 		t.Fatalf("empty-fleet batch error = %v, want a no-workers diagnostic", err)
 	}
@@ -244,7 +244,7 @@ func TestDynamicFleetRegistration(t *testing.T) {
 	if !s.AddWorker(w) {
 		t.Fatal("AddWorker reported no growth for a new worker")
 	}
-	res, err := s.Run(nil, dummyJobs(2))
+	res, err := s.RunProgress(nil, dummyJobs(2), nil)
 	if err != nil {
 		t.Fatalf("batch after registration: %v", err)
 	}
@@ -257,7 +257,7 @@ func TestDynamicFleetRegistration(t *testing.T) {
 	// Fail the worker so it is marked down, then re-register it: the
 	// fleet must not grow, and the worker must be up again.
 	w.set(true)
-	if _, err := s.Run(nil, dummyJobs(2)); err == nil {
+	if _, err := s.RunProgress(nil, dummyJobs(2), nil); err == nil {
 		t.Fatal("batch against failing single-worker fleet succeeded")
 	}
 	wantExcluded(t, s, true)

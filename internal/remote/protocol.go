@@ -2,11 +2,11 @@
 // versioned JSON/HTTP protocol, turning the batch engine's Backend
 // boundary into an RPC boundary.
 //
-// Topology. A worker process (cmd/p5worker) calls Serve, which wraps a
-// local engine — worker pool, in-memory cache and, when configured, a
-// persistent cachestore — behind two HTTP endpoints. The client side is
-// HTTPBackend (one worker) and ShardedBackend (a fleet): both implement
-// engine.Backend. The p5d daemon (internal/service) owns the only
+// Topology. A worker process (cmd/p5worker) serves a Server, which
+// wraps a local engine — worker pool, in-memory cache and, when
+// configured, a persistent cachestore — behind two HTTP endpoints. The
+// client side is HTTPBackend (one fleet Worker) and ShardedBackend (the
+// fleet, an engine.Backend). The p5d daemon (internal/service) owns the only
 // fleet: its engine runs unique uncached jobs on the ShardedBackend its
 // workers register into, keeping caching, deduplication and retries in
 // the daemon.

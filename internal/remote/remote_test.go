@@ -55,11 +55,16 @@ func testJobs(t testing.TB, n int) []engine.Job {
 // openStore opens a cachestore on dir (one per simulated process).
 func openStore(dir string) (*cachestore.Store, error) { return cachestore.Open(dir) }
 
-// httpWorker is NewHTTPBackend with its chunk size lowered to inflight.
-func httpWorker(addr string, inflight int) *HTTPBackend {
-	b := NewHTTPBackend(addr)
-	b.inflight = inflight
-	return b
+// fleetOf is a fleet of HTTP workers at addrs pulling chunks of chunk
+// jobs.
+func fleetOf(chunk int, addrs ...string) *ShardedBackend {
+	var workers []Worker
+	for _, a := range addrs {
+		workers = append(workers, NewHTTPBackend(a))
+	}
+	s := NewDynamic(workers...)
+	s.chunk = chunk
+	return s
 }
 
 // startWorker runs a worker server over httptest and returns its
@@ -84,7 +89,7 @@ func TestLoopbackEquivalence(t *testing.T) {
 
 	addr1, _ := startWorker(t, ServerConfig{Workers: 2})
 	addr2, _ := startWorker(t, ServerConfig{Workers: 2})
-	backend := NewDynamic(httpWorker(addr1, 2), httpWorker(addr2, 3))
+	backend := fleetOf(2, addr1, addr2)
 	eng := engine.NewWith(0, nil, engine.WithBackend(backend))
 
 	seen := make(map[int]int)
@@ -146,7 +151,7 @@ func TestAllWorkersFail(t *testing.T) {
 	jobs := testJobs(t, 3)[:3]
 	// One job per chunk, so each dead worker takes one and is marked
 	// down; the third job is left to nobody.
-	backend := NewDynamic(httpWorker(dead.URL, 1), httpWorker(dead.URL, 1))
+	backend := fleetOf(1, dead.URL, dead.URL)
 	eng := engine.NewWith(0, nil, engine.WithBackend(backend))
 	res := eng.Run(nil, jobs)
 	for i, r := range res {
@@ -297,7 +302,7 @@ func TestShardedCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	eng := engine.NewWith(0, nil, engine.WithBackend(NewDynamic(httpWorker(addr, 1))))
+	eng := engine.NewWith(0, nil, engine.WithBackend(fleetOf(1, addr)))
 	nDone := 0
 	res := eng.RunFunc(ctx, jobs, func(i int, r engine.Result) {
 		if r.Err == nil {

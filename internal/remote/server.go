@@ -7,12 +7,12 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"runtime"
 	"sync/atomic"
 	"time"
 
 	"power5prio/internal/cachestore"
 	"power5prio/internal/engine"
-	"power5prio/internal/workload"
 )
 
 // ServerConfig configures a worker-side server.
@@ -24,11 +24,8 @@ type ServerConfig struct {
 	// warm cache short-circuits remote simulation entirely: repeated
 	// jobs are answered from disk without simulating.
 	Store *cachestore.Store
-	// Registry resolves job workload refs (nil = built-ins only; custom
-	// kernels cannot travel over the wire, see the package comment).
-	Registry *workload.Registry
 	// MaxBatch rejects run requests with more jobs than this (<= 0 = no
-	// limit). A fleet client already chunks to its in-flight limit; the
+	// limit). The fleet already chunks to DefaultMaxInFlight; the
 	// bound protects a worker from an oversized hand-written request.
 	MaxBatch int
 	// Logf, when non-nil, receives one line per request served.
@@ -44,9 +41,14 @@ type Server struct {
 	jobs atomic.Int64
 }
 
-// NewServer builds a worker-side server.
+// NewServer builds a worker-side server. Job refs resolve against the
+// built-in workloads only: custom kernels cannot travel over the wire
+// (see the package comment).
 func NewServer(cfg ServerConfig) *Server {
-	eng := engine.NewWith(cfg.Workers, cfg.Registry, engine.WithStore(cfg.Store))
+	if cfg.Workers <= 0 {
+		cfg.Workers = runtime.GOMAXPROCS(0)
+	}
+	eng := engine.NewWith(cfg.Workers, nil, engine.WithStore(cfg.Store))
 	return &Server{cfg: cfg, eng: eng}
 }
 
@@ -75,7 +77,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	}
 	h := Health{
 		Protocol: ProtocolVersion,
-		Capacity: s.eng.Workers(),
+		Capacity: s.cfg.Workers,
 		Jobs:     s.jobs.Load(),
 	}
 	if s.cfg.Store != nil {
@@ -147,16 +149,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// Serve runs a worker on the listener until ctx is cancelled, then
+// ServeHandler serves handler — usually a NewServer(cfg).Handler(),
+// possibly wrapped in middleware (e.g. chaos.Middleware for
+// fault-injection runs) — on the listener until ctx is cancelled, then
 // shuts down gracefully (in-flight requests get a grace period to
 // finish). It returns nil on a clean shutdown.
-func Serve(ctx context.Context, lis net.Listener, cfg ServerConfig) error {
-	return ServeHandler(ctx, lis, NewServer(cfg).Handler())
-}
-
-// ServeHandler is Serve with the handler supplied by the caller —
-// usually a NewServer(cfg).Handler() wrapped in middleware (e.g.
-// chaos.Middleware for fault-injection runs).
 func ServeHandler(ctx context.Context, lis net.Listener, handler http.Handler) error {
 	srv := &http.Server{Handler: handler}
 	errc := make(chan error, 1)

@@ -18,9 +18,9 @@ import (
 // bytes identical to a local run.
 //
 // Scheduling is work-stealing rather than static: each worker pulls the
-// next chunk of at most its Capacity jobs when it becomes free, so a
-// fast worker takes more of the batch than a slow one. The fleet does
-// not retry: a failed worker's jobs come back Skipped, and the p5d
+// next chunk of at most DefaultMaxInFlight jobs when it becomes free,
+// so a fast worker takes more of the batch than a slow one. The fleet
+// does not retry: a failed worker's jobs come back Skipped, and the p5d
 // daemon that owns the fleet requeues them. Job-level errors are
 // deterministic and are never retried.
 //
@@ -30,17 +30,27 @@ import (
 // run marks it up again. A run is the only probe: when every worker is
 // down, the batch goes to all of them rather than failing unattempted.
 type ShardedBackend struct {
+	chunk   int // jobs a worker pulls at once: DefaultMaxInFlight (tests lower it)
 	mu      sync.Mutex
-	workers []engine.Backend // append-only; elements are never replaced
+	workers []Worker // append-only; elements are never replaced
 	down    []bool
+}
+
+// Worker is one fleet member: a remote worker (HTTPBackend) that runs
+// a chunk of jobs and returns one Result per job, in order. A
+// worker-level failure is returned as the error, with the chunk's jobs
+// Skipped; it marks the worker down.
+type Worker interface {
+	Name() string
+	Run(ctx context.Context, jobs []Job) ([]Result, error)
 }
 
 // NewDynamic builds a sharded backend whose fleet may start empty and
 // grow at runtime through AddWorker — the shape the p5d daemon's
 // worker registration needs. With no workers, batches fail with a
 // no-workers error rather than panicking.
-func NewDynamic(workers ...engine.Backend) *ShardedBackend {
-	return &ShardedBackend{workers: workers, down: make([]bool, len(workers))}
+func NewDynamic(workers ...Worker) *ShardedBackend {
+	return &ShardedBackend{chunk: DefaultMaxInFlight, workers: workers, down: make([]bool, len(workers))}
 }
 
 // AddWorker adds w to the fleet. If a worker with the same Name is
@@ -50,7 +60,7 @@ func NewDynamic(workers ...engine.Backend) *ShardedBackend {
 // registration handler does). It reports whether the fleet grew.
 // Batches already running are unaffected; the worker joins scheduling
 // from the next batch.
-func (s *ShardedBackend) AddWorker(w engine.Backend) bool {
+func (s *ShardedBackend) AddWorker(w Worker) bool {
 	name := w.Name()
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -86,7 +96,7 @@ func (s *ShardedBackend) WorkerStates() []WorkerStatus {
 // snapshot returns the current worker list. The slice is append-only
 // and elements are never replaced, so indexing a snapshot stays valid
 // while AddWorker grows the fleet concurrently.
-func (s *ShardedBackend) snapshot() []engine.Backend {
+func (s *ShardedBackend) snapshot() []Worker {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.workers
@@ -95,7 +105,7 @@ func (s *ShardedBackend) snapshot() []engine.Backend {
 // eligible returns the worker list and the indices of the workers this
 // batch dispatches to: every worker that is up, or the whole fleet when
 // every worker is down.
-func (s *ShardedBackend) eligible() ([]engine.Backend, []int) {
+func (s *ShardedBackend) eligible() ([]Worker, []int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var up, all []int
@@ -127,15 +137,6 @@ func (s *ShardedBackend) Name() string {
 	return fmt.Sprintf("sharded(%d workers)", len(workers))
 }
 
-// Capacity sums the fleet's per-worker capacities.
-func (s *ShardedBackend) Capacity() int {
-	total := 0
-	for _, w := range s.snapshot() {
-		total += w.Capacity()
-	}
-	return total
-}
-
 // RemoteStats sums the fleet's per-worker counters.
 func (s *ShardedBackend) RemoteStats() engine.RemoteStats {
 	var total engine.RemoteStats
@@ -150,16 +151,11 @@ func (s *ShardedBackend) RemoteStats() engine.RemoteStats {
 	return total
 }
 
-// Run executes the batch across the fleet; see RunProgress.
-func (s *ShardedBackend) Run(ctx context.Context, jobs []Job) ([]Result, error) {
-	return s.RunProgress(ctx, jobs, nil)
-}
-
 // RunProgress executes the batch across the fleet, reporting each job's
-// result as it lands. Workers pull chunks of at most their Capacity
-// from a shared cursor until the batch is taken. A worker that fails
-// returns its chunk's unfinished jobs Skipped with its error, is marked
-// down and takes no more chunks; the chunks nobody has taken go to the
+// result as it lands. Workers pull chunks of at most
+// DefaultMaxInFlight jobs from a shared cursor until the batch is
+// taken. A worker that fails returns its chunk's unfinished jobs
+// Skipped with its error, is marked down and takes no more chunks; the chunks nobody has taken go to the
 // survivors. Skipped jobs are not retried here: the caller
 // (the p5d daemon's requeue) owns retries. The batch error joins the
 // worker failures, and is nil when none failed. On cancellation the
@@ -191,10 +187,9 @@ func (s *ShardedBackend) RunProgress(ctx context.Context, jobs []Job, done func(
 	// next is the work-stealing cursor: the first job no worker has
 	// taken. It only grows, so [min(next, len), len) is what is left.
 	var next atomic.Int64
-	take := func(n int) (lo, hi int) {
-		n = max(n, 1)
-		hi = int(next.Add(int64(n)))
-		return min(hi-n, len(jobs)), min(hi, len(jobs))
+	take := func() (lo, hi int) {
+		hi = int(next.Add(int64(s.chunk)))
+		return min(hi-s.chunk, len(jobs)), min(hi, len(jobs))
 	}
 	failures := make([]error, len(active))
 	var wg sync.WaitGroup
@@ -204,7 +199,7 @@ func (s *ShardedBackend) RunProgress(ctx context.Context, jobs []Job, done func(
 			defer wg.Done()
 			w := workers[wi]
 			for ctx.Err() == nil {
-				lo, hi := take(w.Capacity())
+				lo, hi := take()
 				if lo == hi {
 					return
 				}

@@ -59,8 +59,8 @@ const retryBase = 500 * time.Millisecond
 const maxRetryWait = 10 * time.Second
 
 // Client submits jobs to a p5d daemon. It implements engine.Backend
-// (and the progress and estimate extensions), so an engine constructed
-// with engine.WithBackend(service.NewClient(addr)) transparently
+// (and the estimate extension), so an engine constructed with
+// engine.WithBackend(service.NewClient(addr)) transparently
 // executes through the shared daemon: local cache tiers still apply,
 // only locally-unknown jobs travel, and the daemon's tier 0 answers the
 // jobs whose mode accepts an estimate.
@@ -129,7 +129,7 @@ func WithBackpressureCap(d time.Duration) ClientOption {
 	}
 }
 
-// WithEstimate attaches a tier-0 policy to every Run and RunProgress
+// WithEstimate attaches a tier-0 policy to every RunProgress
 // submission: the daemon answers this client's jobs from its
 // analytical estimator under mode m, and estimated results come back
 // flagged with the model's error bar (Result.Estimated /
@@ -176,10 +176,6 @@ func NewClient(addr string, opts ...ClientOption) *Client {
 // Name identifies the daemon in diagnostics.
 func (c *Client) Name() string { return "service(" + c.base + ")" }
 
-// Capacity is the submit chunk size — what one request keeps in
-// flight.
-func (c *Client) Capacity() int { return c.chunk }
-
 // RemoteStats returns the client's lifetime counters.
 func (c *Client) RemoteStats() engine.RemoteStats {
 	c.mu.Lock()
@@ -217,11 +213,6 @@ func (c *Client) Healthy(ctx context.Context) error {
 		return fmt.Errorf("service: daemon %s health: %w", c.base, err)
 	}
 	return checkProtocol(h.Protocol)
-}
-
-// Run implements engine.Backend; see RunProgress.
-func (c *Client) Run(ctx context.Context, jobs []engine.Job) ([]engine.Result, error) {
-	return c.RunProgress(ctx, jobs, nil)
 }
 
 // RunProgress submits the batch in chunks, streaming each job's result
@@ -616,11 +607,40 @@ func (c *Client) RegisterWorker(ctx context.Context, workerAddr string) (added b
 	return rr.Added, nil
 }
 
-// RegisterWorker announces the worker at workerAddr to the daemon at
-// daemonAddr (host:port or http:// URL) with default timeouts; see
-// Client.RegisterWorker.
-func RegisterWorker(ctx context.Context, daemonAddr, workerAddr string) (added bool, err error) {
-	return NewClient(daemonAddr).RegisterWorker(ctx, workerAddr)
+// registerRetryBase is the first pause after a refused first
+// registration; later pauses double, up to the heartbeat.
+const registerRetryBase = 100 * time.Millisecond
+
+// RegisterWorker keeps the worker at workerAddr registered with the
+// daemon at daemonAddr (host:port or http:// URL) until ctx is done; see
+// Client.RegisterWorker. Until the first registration succeeds it
+// retries from registerRetryBase, doubling up to the heartbeat, so a
+// worker started together with its daemon joins as soon as the daemon
+// is up; after that it re-registers every heartbeat, which readmits the
+// worker if a failed run marked it down. Failures and the joining
+// registration are reported through logf.
+func RegisterWorker(ctx context.Context, daemonAddr, workerAddr string, heartbeat time.Duration, logf func(format string, args ...any)) {
+	c := NewClient(daemonAddr)
+	pause := min(registerRetryBase, heartbeat)
+	for {
+		added, err := c.RegisterWorker(ctx, workerAddr)
+		if ctx.Err() != nil {
+			return
+		}
+		switch {
+		case err != nil:
+			logf("register with %s: %v (will retry)", daemonAddr, err)
+		case added:
+			logf("registered %s with daemon %s", workerAddr, daemonAddr)
+		}
+		if err == nil {
+			pause = heartbeat // joined: from now on, one heartbeat apart
+		}
+		if sleepCtx(ctx, pause) != nil {
+			return
+		}
+		pause = min(2*pause, heartbeat)
+	}
 }
 
 // retryWait parses a Retry-After header into a bounded pause.

@@ -33,10 +33,9 @@ type skipBackend struct {
 	jobs int
 }
 
-func (b *skipBackend) Name() string  { return "skips" }
-func (b *skipBackend) Capacity() int { return 4 }
+func (b *skipBackend) Name() string { return "skips" }
 
-func (b *skipBackend) Run(ctx context.Context, jobs []engine.Job) ([]engine.Result, error) {
+func (b *skipBackend) RunProgress(ctx context.Context, jobs []engine.Job, _ func(int, engine.Result)) ([]engine.Result, error) {
 	b.mu.Lock()
 	b.runs++
 	failing := b.runs <= b.fail
@@ -170,7 +169,7 @@ func TestClientResumesAcrossRestart(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		res, runErr = NewClient(srv.URL, WithClientID("c")).Run(nil, jobs)
+		res, runErr = NewClient(srv.URL, WithClientID("c")).RunProgress(nil, jobs, nil)
 	}()
 
 	<-cb1.started // first batch (2 jobs) in flight on daemon 1
@@ -218,7 +217,7 @@ func TestBackpressureCap(t *testing.T) {
 
 	cl := NewClient(srv.URL, WithClientID("c"), WithBackpressureCap(500*time.Millisecond))
 	start := time.Now()
-	res, err := cl.Run(nil, svcJobs(2, 0))
+	res, err := cl.RunProgress(nil, svcJobs(2, 0), nil)
 	if err == nil || !strings.Contains(err.Error(), "backpressured for") {
 		t.Fatalf("capped run error = %v, want a backpressure give-up", err)
 	}
@@ -241,7 +240,7 @@ func TestRequeueOnSkip(t *testing.T) {
 	d := New(engine.NewWith(0, nil, engine.WithBackend(sb)), nil, Config{Dispatchers: 1})
 	srv := startDaemon(t, d)
 
-	res, err := NewClient(srv.URL, WithClientID("c")).Run(nil, svcJobs(3, 0))
+	res, err := NewClient(srv.URL, WithClientID("c")).RunProgress(nil, svcJobs(3, 0), nil)
 	if err != nil {
 		t.Fatalf("run through a skipping backend: %v", err)
 	}
@@ -314,7 +313,7 @@ func TestJobTimeout(t *testing.T) {
 	srv := startDaemon(t, d)
 
 	start := time.Now()
-	res, err := NewClient(srv.URL, WithClientID("c")).Run(nil, svcJobs(2, 0))
+	res, err := NewClient(srv.URL, WithClientID("c")).RunProgress(nil, svcJobs(2, 0), nil)
 	if err != nil {
 		t.Fatalf("run through a wedged first dispatch: %v", err)
 	}
@@ -461,7 +460,7 @@ func TestWorkerFailureRetry(t *testing.T) {
 		}
 	}
 
-	got, err := NewClient(srv.URL, WithClientID("c")).Run(nil, jobs)
+	got, err := NewClient(srv.URL, WithClientID("c")).RunProgress(nil, jobs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,7 +19,7 @@ import (
 )
 
 // countingBackend synthesizes results instantly (daemon tests exercise
-// scheduling, not simulation). When gate is set, the first Run blocks
+// scheduling, not simulation). When gate is set, the first call blocks
 // until it closes, holding a batch in flight.
 type countingBackend struct {
 	gate    chan struct{}
@@ -30,10 +31,9 @@ type countingBackend struct {
 	jobs int
 }
 
-func (b *countingBackend) Name() string  { return "counting" }
-func (b *countingBackend) Capacity() int { return 4 }
+func (b *countingBackend) Name() string { return "counting" }
 
-func (b *countingBackend) Run(ctx context.Context, jobs []engine.Job) ([]engine.Result, error) {
+func (b *countingBackend) RunProgress(ctx context.Context, jobs []engine.Job, _ func(int, engine.Result)) ([]engine.Result, error) {
 	b.mu.Lock()
 	b.runs++
 	first := b.runs == 1
@@ -228,14 +228,14 @@ func TestCrossClientDedup(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		res1, _ = NewClient(srv.URL, WithClientID("c1")).Run(nil, job)
+		res1, _ = NewClient(srv.URL, WithClientID("c1")).RunProgress(nil, job, nil)
 	}()
 	<-cb.started // client 1's job is now in flight on the backend
 
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		res2, _ = NewClient(srv.URL, WithClientID("c2")).Run(nil, job)
+		res2, _ = NewClient(srv.URL, WithClientID("c2")).RunProgress(nil, job, nil)
 	}()
 	waitFor(t, func() bool { return d.Stats().Coalesced == 1 }, "client 2 to coalesce onto the flight")
 	close(cb.gate)
@@ -304,7 +304,7 @@ func TestServiceEstimate(t *testing.T) {
 
 	// c1 accepts any estimate: flagged results with the model's error
 	// bar, and zero backend traffic.
-	res, err := NewClient(srv.URL, WithClientID("c1"), WithEstimate(engine.EstimateAlways())).Run(nil, jobs)
+	res, err := NewClient(srv.URL, WithClientID("c1"), WithEstimate(engine.EstimateAlways())).RunProgress(nil, jobs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +319,7 @@ func TestServiceEstimate(t *testing.T) {
 
 	// c2 rides the daemon default (off): the same jobs simulate — the
 	// estimates were cached nowhere.
-	res2, err := NewClient(srv.URL, WithClientID("c2")).Run(nil, jobs)
+	res2, err := NewClient(srv.URL, WithClientID("c2")).RunProgress(nil, jobs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +334,7 @@ func TestServiceEstimate(t *testing.T) {
 
 	// c3's tolerance is below the model's bar: every job escalates to
 	// the exact path, which the now-warm cache serves.
-	res3, err := NewClient(srv.URL, WithClientID("c3"), WithEstimate(engine.EstimateTolerance(0.1))).Run(nil, jobs)
+	res3, err := NewClient(srv.URL, WithClientID("c3"), WithEstimate(engine.EstimateTolerance(0.1))).RunProgress(nil, jobs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,14 +349,14 @@ func TestServiceEstimate(t *testing.T) {
 	// answers.
 	eng.SetEstimateMode(engine.EstimateAlways())
 	jobs2 := svcJobs(2, 50)
-	res4, err := NewClient(srv.URL, WithClientID("c4")).Run(nil, jobs2)
+	res4, err := NewClient(srv.URL, WithClientID("c4")).RunProgress(nil, jobs2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res4[0].Estimated || !res4[1].Estimated {
 		t.Fatalf("default-riding client missed the daemon's Always default: %+v", res4)
 	}
-	res5, err := NewClient(srv.URL, WithClientID("c5"), WithEstimate(engine.EstimateOff())).Run(nil, jobs2)
+	res5, err := NewClient(srv.URL, WithClientID("c5"), WithEstimate(engine.EstimateOff())).RunProgress(nil, jobs2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,7 +483,7 @@ func TestBackpressure(t *testing.T) {
 		Config{MaxQueue: 2, Dispatchers: 1})
 	srv2 := startDaemon(t, d2)
 	cl := NewClient(srv2.URL, WithClientID("c"), WithSubmitChunk(2))
-	res, err := cl.Run(nil, svcJobs(6, 0))
+	res, err := cl.RunProgress(nil, svcJobs(6, 0), nil)
 	if err != nil {
 		t.Fatalf("chunked run through backpressure: %v", err)
 	}
@@ -590,5 +590,46 @@ func TestWorkerRegistration(t *testing.T) {
 
 	if _, code := register("127.0.0.1:1"); code != http.StatusBadGateway {
 		t.Fatalf("unreachable worker registration status = %d, want 502", code)
+	}
+}
+
+// TestRegisterWorkerRetriesFirstAnnounce: a worker whose first
+// registrations are refused (its daemon is still starting) joins the
+// fleet within seconds, not after a full heartbeat.
+func TestRegisterWorkerRetriesFirstAnnounce(t *testing.T) {
+	worker := httptest.NewServer(remote.NewServer(remote.ServerConfig{Workers: 1}).Handler())
+	defer worker.Close()
+
+	fleet := remote.NewDynamic()
+	d := New(engine.NewWith(0, nil, engine.WithBackend(fleet)), fleet, Config{})
+	var refused atomic.Int32
+	daemon := d.Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == RegisterPath && refused.Load() < 2 {
+			refused.Add(1)
+			http.Error(w, "starting", http.StatusServiceUnavailable)
+			return
+		}
+		daemon.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	stopped := make(chan struct{})
+	go func() {
+		RegisterWorker(ctx, srv.URL, worker.URL, time.Minute, t.Logf)
+		close(stopped)
+	}()
+	defer func() { cancel(); <-stopped }()
+
+	deadline := time.Now().Add(5 * time.Second)
+	for len(fleet.WorkerStates()) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("worker not in the fleet 5s after start (%d registrations refused)", refused.Load())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := refused.Load(); n != 2 {
+		t.Fatalf("%d registrations refused before joining, want 2", n)
 	}
 }

@@ -303,10 +303,10 @@ func WithEstimate(m EstimateMode) Option { return func(s *System) { s.estMode = 
 
 // Backend executes measurement batches on behalf of a System: the
 // in-process worker pool by default, a p5d daemon with WithService, or
-// any custom engine.Backend implementation. Every
-// backend returns bit-identical results for the same measurement, so
-// swapping backends never changes what a System reports — only where
-// and how fast the simulations run.
+// any custom implementation of Name and RunProgress (which may ignore
+// its done callback). Every backend returns bit-identical results for
+// the same measurement, so swapping backends never changes what a
+// System reports — only where and how fast the simulations run.
 type Backend = engine.Backend
 
 // WithBackend routes the System's simulations through the given

@@ -53,7 +53,7 @@ func TestWithService(t *testing.T) {
 	for range 2 {
 		w := httptest.NewServer(remote.NewServer(remote.ServerConfig{Workers: 2}).Handler())
 		t.Cleanup(w.Close)
-		if _, err := service.RegisterWorker(ctx, url, w.URL); err != nil {
+		if _, err := service.NewClient(url).RegisterWorker(ctx, w.URL); err != nil {
 			t.Fatal(err)
 		}
 	}
