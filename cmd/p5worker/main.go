@@ -1,16 +1,15 @@
 // Command p5worker serves the distributed execution protocol: it runs
 // simulation jobs posted by the p5d daemon whose fleet it joined with
-// -register on a local worker pool, with the same two cache tiers a
-// local run has. Point a fleet's workers — and the daemon — at one
-// shared -cache-dir and a warm cache short-circuits remote simulation
-// entirely.
+// -register on a local worker pool. The worker keeps no cache: p5d
+// answers every job it can from its own cache tiers before dispatching,
+// so a persistent store belongs on p5d (-cache-dir there); p5worker
+// refuses -cache-dir.
 //
 // Usage:
 //
 //	p5worker                                      # serve on 127.0.0.1:7550
 //	p5worker -listen 0.0.0.0:7550 -workers 8      # serve a LAN, bounded pool
 //	p5worker -listen 127.0.0.1:0                  # pick a free port (printed)
-//	p5worker -cache-dir /mnt/shared/p5cache       # join a shared result cache
 //	p5worker -register daemon:7551                # join a p5d daemon's fleet
 //
 // With -register, the worker announces itself to a p5d daemon on
@@ -51,28 +50,35 @@ func main() {
 	var (
 		listen    = flag.String("listen", "127.0.0.1:7550", "address to serve the worker protocol on (host:port; port 0 picks a free port)")
 		workers   = flag.Int("workers", 0, "simulation worker pool size (0 = all CPU cores)")
-		maxBatch  = flag.Int("max-batch", 4096, "largest job batch accepted in one request (0 = unlimited)")
 		register  = flag.String("register", "", "register with (and heartbeat to) a p5d daemon at host:port")
 		advertise = flag.String("advertise", "", "address to register with the daemon (default: the bound listen address)")
 		heartbeat = flag.Duration("heartbeat", 15*time.Second, "re-registration interval with -register (readmits a worker the daemon marked down)")
-		chaosPlan = flag.String("chaos", "", "fault-injection plan JSON (see internal/chaos) applied to this worker's HTTP handler and cache store")
+		chaosPlan = flag.String("chaos", "", "fault-injection plan JSON (see internal/chaos) applied to this worker's HTTP handler")
 		quiet     = flag.Bool("quiet", false, "suppress the per-batch log lines")
 		common    = cmdutil.AddCommonFlags("p5worker", flag.CommandLine)
 	)
 	flag.Parse()
-	store := common.Init()
-	stopProfiles := common.StartProfiles()
-
 	logf := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "p5worker: "+format+"\n", args...)
 	}
+	if common.CacheDir != "" {
+		logf("-cache-dir is not supported: workers keep no cache; give the directory to p5d -cache-dir")
+		os.Exit(2)
+	}
+	common.Init()
+	stopProfiles := common.StartProfiles()
+
 	if *register != "" && *heartbeat <= 0 {
 		logf("-heartbeat must be positive, got %v", *heartbeat)
 		stopProfiles()
 		os.Exit(2)
 	}
 
-	var inj *chaos.Injector
+	cfg := remote.ServerConfig{Workers: *workers}
+	if !*quiet {
+		cfg.Logf = logf
+	}
+	var handler http.Handler = remote.NewServer(cfg).Handler()
 	if *chaosPlan != "" {
 		plan, err := chaos.Load(*chaosPlan)
 		if err != nil {
@@ -80,19 +86,8 @@ func main() {
 			stopProfiles()
 			os.Exit(1)
 		}
-		inj = chaos.NewInjector(plan)
+		handler = chaos.Middleware(handler, chaos.NewInjector(plan))
 		logf("CHAOS: injecting faults from %s (seed %d, %d rules)", *chaosPlan, plan.Seed, len(plan.Rules))
-		if store != nil {
-			store.SetPutHook(chaos.PutHook(inj))
-		}
-	}
-	cfg := remote.ServerConfig{
-		Workers:  *workers,
-		Store:    store,
-		MaxBatch: *maxBatch,
-	}
-	if !*quiet {
-		cfg.Logf = logf
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -104,11 +99,7 @@ func main() {
 		stopProfiles()
 		os.Exit(1)
 	}
-	cache := "memory-only cache"
-	if store != nil {
-		cache = "cache dir " + store.Dir()
-	}
-	logf("serving %s on %s (%s)", remote.ProtocolVersion, lis.Addr(), cache)
+	logf("serving %s on %s", remote.ProtocolVersion, lis.Addr())
 
 	if *register != "" {
 		addr := *advertise
@@ -125,10 +116,6 @@ func main() {
 		go service.RegisterWorker(ctx, *register, addr, *heartbeat, logf)
 	}
 
-	var handler http.Handler = remote.NewServer(cfg).Handler()
-	if inj != nil {
-		handler = chaos.Middleware(handler, inj)
-	}
 	err = remote.ServeHandler(ctx, lis, handler)
 	stopProfiles()
 	if err != nil {

@@ -38,7 +38,7 @@ type Common struct {
 // -cpuprofile, -memprofile) on fs and returns their destination.
 func AddCommonFlags(prog string, fs *flag.FlagSet) *Common {
 	c := &Common{prog: prog}
-	fs.StringVar(&c.CacheDir, "cache-dir", "", "persist simulation results in this directory (reused across runs, shareable between commands and workers)")
+	fs.StringVar(&c.CacheDir, "cache-dir", "", "persist simulation results in this directory (reused across runs, shareable between commands)")
 	fs.StringVar(&c.FastForward, "fastforward", "on", "idle-cycle fast-forward: on|off (results are identical either way; off for A/B debugging)")
 	fs.StringVar(&c.CPUProfile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&c.MemProfile, "memprofile", "", "write a heap profile to this file on exit")

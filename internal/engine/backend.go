@@ -57,8 +57,8 @@ type EstimateBackend interface {
 
 // RemoteStats counts work done through remote backends; see Stats.
 type RemoteStats struct {
-	// Jobs executed by remote workers (a worker serving a job from its
-	// own warm cache still counts: the job went over the wire).
+	// Jobs answered over the wire: run by a fleet worker, which keeps no
+	// cache, or delivered by a p5d daemon from any of its tiers.
 	Jobs int
 	// Retries are jobs resubmitted to a p5d daemon after backpressure or
 	// a dropped, drained or stalled stream.

@@ -37,7 +37,9 @@ func FuzzRunRequest(f *testing.F) {
 		f.Add(seed)
 	}
 
-	h := NewServer(ServerConfig{Workers: 1, MaxBatch: maxBatch}).Handler()
+	srv := NewServer(ServerConfig{Workers: 1})
+	srv.maxBatch = maxBatch
+	h := srv.Handler()
 	f.Fuzz(func(t *testing.T, body []byte) {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, RunPath, bytes.NewReader(body)))

@@ -3,13 +3,12 @@
 // boundary into an RPC boundary.
 //
 // Topology. A worker process (cmd/p5worker) serves a Server, which
-// wraps a local engine — worker pool, in-memory cache and, when
-// configured, a persistent cachestore — behind two HTTP endpoints. The
-// client side is HTTPBackend (one fleet Worker) and ShardedBackend (the
-// fleet, an engine.Backend). The p5d daemon (internal/service) owns the only
-// fleet: its engine runs unique uncached jobs on the ShardedBackend its
-// workers register into, keeping caching, deduplication and retries in
-// the daemon.
+// runs each batch on a local worker pool behind two HTTP endpoints and
+// keeps no cache of its own. The client side is HTTPBackend (one fleet
+// Worker) and ShardedBackend (the fleet, an engine.Backend). The p5d
+// daemon (internal/service) owns the only fleet: its engine runs unique
+// uncached jobs on the ShardedBackend its workers register into,
+// keeping caching, deduplication and retries in the daemon.
 //
 // Portability. A job travels as its engine.Job value plus its
 // engine.JobKey. Both ends recompute the key from the decoded value: a
@@ -69,7 +68,7 @@ type WireResult struct {
 	Key    string          `json:"key"`
 	Pair   fame.PairResult `json:"pair"`
 	Err    string          `json:"err,omitempty"`
-	Cached bool            `json:"cached,omitempty"` // served from the worker's cache tiers
+	Cached bool            `json:"cached,omitempty"` // served from p5d's cache tiers (p5queue only; workers keep no cache)
 	// Estimated marks a tier-0 analytical answer: Pair is a calibrated
 	// model prediction, not a simulation, and ErrorBar is the model's
 	// promised worst-case absolute IPC error for it. Workers never
@@ -94,9 +93,6 @@ type Health struct {
 	Capacity int `json:"capacity"`
 	// Jobs counts jobs served since the worker started.
 	Jobs int64 `json:"jobs"`
-	// CacheDir is the worker's persistent cache directory ("" = memory
-	// only) — useful when diagnosing whether a fleet shares one store.
-	CacheDir string `json:"cache_dir,omitempty"`
 }
 
 // checkProtocol validates a peer's protocol tag.

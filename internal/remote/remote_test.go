@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"power5prio/internal/cachestore"
 	"power5prio/internal/core"
 	"power5prio/internal/engine"
 	"power5prio/internal/fame"
@@ -52,9 +51,6 @@ func testJobs(t testing.TB, n int) []engine.Job {
 	return append(jobs, jobs[0], jobs[n/2])
 }
 
-// openStore opens a cachestore on dir (one per simulated process).
-func openStore(dir string) (*cachestore.Store, error) { return cachestore.Open(dir) }
-
 // fleetOf is a fleet of HTTP workers at addrs pulling chunks of chunk
 // jobs.
 func fleetOf(chunk int, addrs ...string) *ShardedBackend {
@@ -68,13 +64,12 @@ func fleetOf(chunk int, addrs ...string) *ShardedBackend {
 }
 
 // startWorker runs a worker server over httptest and returns its
-// address and the server object (for engine stats).
-func startWorker(t testing.TB, cfg ServerConfig) (string, *Server) {
+// address.
+func startWorker(t testing.TB, cfg ServerConfig) string {
 	t.Helper()
-	srv := NewServer(cfg)
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(NewServer(cfg).Handler())
 	t.Cleanup(ts.Close)
-	return ts.URL, srv
+	return ts.URL
 }
 
 // TestLoopbackEquivalence: a batch sharded across two HTTP workers is
@@ -87,8 +82,8 @@ func TestLoopbackEquivalence(t *testing.T) {
 	jobs := testJobs(t, 8)
 	want := engine.New(4).Run(nil, jobs)
 
-	addr1, _ := startWorker(t, ServerConfig{Workers: 2})
-	addr2, _ := startWorker(t, ServerConfig{Workers: 2})
+	addr1 := startWorker(t, ServerConfig{Workers: 2})
+	addr2 := startWorker(t, ServerConfig{Workers: 2})
 	backend := fleetOf(2, addr1, addr2)
 	eng := engine.NewWith(0, nil, engine.WithBackend(backend))
 
@@ -173,7 +168,7 @@ func TestAllWorkersFail(t *testing.T) {
 
 	// Same jobs on a healthy backend: the dead-fleet errors were not
 	// cached.
-	good, _ := startWorker(t, ServerConfig{Workers: 2})
+	good := startWorker(t, ServerConfig{Workers: 2})
 	eng2 := engine.NewWith(0, nil, engine.WithBackend(NewDynamic(NewHTTPBackend(good))))
 	for i, r := range eng2.Run(nil, jobs) {
 		if r.Err != nil {
@@ -182,50 +177,10 @@ func TestAllWorkersFail(t *testing.T) {
 	}
 }
 
-// TestSharedStoreShortCircuit: a worker whose cachestore directory was
-// warmed by an earlier process serves jobs from disk without
-// simulating — the documented shared-cache-dir deployment.
-func TestSharedStoreShortCircuit(t *testing.T) {
-	if testing.Short() {
-		t.Skip("chip-level simulation")
-	}
-	dir := t.TempDir()
-	jobs := testJobs(t, 4)[:4]
-
-	// First worker process: simulates and persists.
-	st1, err := openStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr1, srv1 := startWorker(t, ServerConfig{Workers: 2, Store: st1})
-	eng1 := engine.NewWith(0, nil, engine.WithBackend(NewDynamic(NewHTTPBackend(addr1))))
-	want := eng1.Run(nil, jobs)
-	if s := srv1.Engine().Stats(); s.Simulated != len(jobs) || s.DiskWrites != len(jobs) {
-		t.Fatalf("cold worker stats %+v, want %d simulated+written", s, len(jobs))
-	}
-
-	// Second worker process on the same directory: all disk hits.
-	st2, err := openStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr2, srv2 := startWorker(t, ServerConfig{Workers: 2, Store: st2})
-	eng2 := engine.NewWith(0, nil, engine.WithBackend(NewDynamic(NewHTTPBackend(addr2))))
-	got := eng2.Run(nil, jobs)
-	for i := range jobs {
-		if got[i].Err != nil || got[i].Pair != want[i].Pair {
-			t.Fatalf("warm worker job %d diverged: %+v", i, got[i])
-		}
-	}
-	if s := srv2.Engine().Stats(); s.Simulated != 0 || s.DiskHits != len(jobs) {
-		t.Errorf("warm worker stats %+v, want 0 simulated / %d disk hits", s, len(jobs))
-	}
-}
-
 // TestKeyMismatch: a job whose claimed key does not match the worker's
 // recomputation fails loudly without executing.
 func TestKeyMismatch(t *testing.T) {
-	addr, _ := startWorker(t, ServerConfig{Workers: 1})
+	addr := startWorker(t, ServerConfig{Workers: 1})
 	j := engine.Single(ref(t, microbench.CPUInt), prio.Supervisor, testScale, core.DefaultConfig(), testOptions())
 	req := RunRequest{Protocol: ProtocolVersion, Jobs: []WireJob{{Key: strings.Repeat("ab", 32), Job: j}}}
 	body, _ := json.Marshal(req)
@@ -245,7 +200,7 @@ func TestKeyMismatch(t *testing.T) {
 
 // TestProtocolMismatch: both directions reject a version skew.
 func TestProtocolMismatch(t *testing.T) {
-	addr, _ := startWorker(t, ServerConfig{Workers: 1})
+	addr := startWorker(t, ServerConfig{Workers: 1})
 	body, _ := json.Marshal(RunRequest{Protocol: "p5remote/v999"})
 	resp, err := http.Post(addr+RunPath, "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -280,7 +235,7 @@ func TestCustomWorkloadFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr, _ := startWorker(t, ServerConfig{Workers: 1})
+	addr := startWorker(t, ServerConfig{Workers: 1})
 	eng := engine.NewWith(0, reg, engine.WithBackend(NewDynamic(NewHTTPBackend(addr))))
 	res := eng.Run(nil, []engine.Job{engine.Single(cref, prio.Supervisor, 1.0, core.DefaultConfig(), testOptions())})
 	if res[0].Err == nil {
@@ -297,7 +252,7 @@ func TestShardedCancellation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chip-level simulation")
 	}
-	addr, _ := startWorker(t, ServerConfig{Workers: 1})
+	addr := startWorker(t, ServerConfig{Workers: 1})
 	jobs := testJobs(t, 6)[:6]
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

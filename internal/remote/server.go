@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"power5prio/internal/cachestore"
 	"power5prio/internal/engine"
 )
 
@@ -19,26 +18,24 @@ import (
 type ServerConfig struct {
 	// Workers bounds the worker's simulation pool (<= 0 = all cores).
 	Workers int
-	// Store, when non-nil, is the worker's persistent cache tier. Point
-	// a fleet's workers (and the client) at one shared directory and a
-	// warm cache short-circuits remote simulation entirely: repeated
-	// jobs are answered from disk without simulating.
-	Store *cachestore.Store
-	// MaxBatch rejects run requests with more jobs than this (<= 0 = no
-	// limit). The fleet already chunks to DefaultMaxInFlight; the
-	// bound protects a worker from an oversized hand-written request.
-	MaxBatch int
 	// Logf, when non-nil, receives one line per request served.
 	Logf func(format string, args ...any)
 }
 
-// Server executes job batches for remote clients by running them
-// through a local engine, so the worker gets in-memory deduplication
-// and the optional persistent cache tier exactly like a local run.
+// maxRunBatch is the largest run request a worker accepts. The fleet
+// chunks to DefaultMaxInFlight; the bound protects a worker from an
+// oversized hand-written request.
+const maxRunBatch = 4096
+
+// Server executes job batches for a p5d daemon on a local worker pool.
+// It keeps no cache: the daemon's engine resolves its cache tiers and
+// flight table before it dispatches, so every job that reaches a
+// worker is one nobody has answered yet.
 type Server struct {
-	cfg  ServerConfig
-	eng  *engine.Engine
-	jobs atomic.Int64
+	cfg      ServerConfig
+	pool     *engine.LocalBackend
+	maxBatch int // maxRunBatch; tests lower it
+	jobs     atomic.Int64
 }
 
 // NewServer builds a worker-side server. Job refs resolve against the
@@ -48,13 +45,8 @@ func NewServer(cfg ServerConfig) *Server {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	eng := engine.NewWith(cfg.Workers, nil, engine.WithStore(cfg.Store))
-	return &Server{cfg: cfg, eng: eng}
+	return &Server{cfg: cfg, pool: engine.NewLocalBackend(cfg.Workers, nil), maxBatch: maxRunBatch}
 }
-
-// Engine returns the server's engine (its stats show cache hits vs
-// simulations performed on behalf of remote clients).
-func (s *Server) Engine() *engine.Engine { return s.eng }
 
 // Handler returns the HTTP handler serving the protocol endpoints.
 func (s *Server) Handler() http.Handler {
@@ -80,9 +72,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		Capacity: s.cfg.Workers,
 		Jobs:     s.jobs.Load(),
 	}
-	if s.cfg.Store != nil {
-		h.CacheDir = s.cfg.Store.Dir()
-	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(h)
 }
@@ -101,8 +90,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if s.cfg.MaxBatch > 0 && len(req.Jobs) > s.cfg.MaxBatch {
-		http.Error(w, fmt.Sprintf("batch of %d jobs exceeds the worker's limit of %d", len(req.Jobs), s.cfg.MaxBatch), http.StatusRequestEntityTooLarge)
+	if len(req.Jobs) > s.maxBatch {
+		http.Error(w, fmt.Sprintf("batch of %d jobs exceeds the worker's limit of %d", len(req.Jobs), s.maxBatch), http.StatusRequestEntityTooLarge)
 		return
 	}
 
@@ -126,8 +115,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 
 	start := time.Now()
-	results := s.eng.Run(r.Context(), runnable)
-	cached := 0
+	// The local pool has no backend-level failure: its error is always nil.
+	results, _ := s.pool.RunProgress(r.Context(), runnable, nil)
 	for k, res := range results {
 		i := runnableIdx[k]
 		if res.Err != nil {
@@ -135,13 +124,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		resp.Results[i].Pair = res.Pair
-		resp.Results[i].Cached = res.CacheHit
-		if res.CacheHit {
-			cached++
-		}
 	}
 	s.jobs.Add(int64(len(req.Jobs)))
-	s.logf("run: %d jobs (%d cached) in %s", len(req.Jobs), cached, time.Since(start).Round(time.Millisecond))
+	s.logf("run: %d jobs in %s", len(req.Jobs), time.Since(start).Round(time.Millisecond))
 
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(resp); err != nil {

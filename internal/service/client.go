@@ -80,8 +80,6 @@ type Client struct {
 	backpressureCap time.Duration
 	resumeAttempts  int // DefaultResumeAttempts; tests lower it
 
-	estimate *EstimateSpec
-
 	mu sync.Mutex
 	rs engine.RemoteStats
 }
@@ -129,26 +127,13 @@ func WithBackpressureCap(d time.Duration) ClientOption {
 	}
 }
 
-// WithEstimate attaches a tier-0 policy to every RunProgress
-// submission: the daemon answers this client's jobs from its
-// analytical estimator under mode m, and estimated results come back
-// flagged with the model's error bar (Result.Estimated /
-// Result.ErrorBar). Passing a disabled mode requests exact answers
-// explicitly, overriding a daemon that defaults to estimation; without
-// this option the daemon's default applies. RunEstimate ignores it:
-// each of its jobs carries its own mode. Estimates never enter any
-// cache tier on either side, so a later exact run is unaffected.
-func WithEstimate(m engine.EstimateMode) ClientOption {
-	return func(c *Client) { c.estimate = estimateSpec(m) }
-}
-
 // estimateSpec is the wire spec of a mode; a disabled mode maps to the
 // empty spec, the explicit "exact answers only".
-func estimateSpec(m engine.EstimateMode) *EstimateSpec {
+func estimateSpec(m engine.EstimateMode) EstimateSpec {
 	if !m.Enabled {
-		return &EstimateSpec{}
+		return EstimateSpec{}
 	}
-	return &EstimateSpec{Always: m.Always, Tolerance: m.Tolerance}
+	return EstimateSpec{Always: m.Always, Tolerance: m.Tolerance}
 }
 
 // NewClient returns a client for a daemon address: host:port as passed
@@ -222,9 +207,9 @@ func (c *Client) Healthy(ctx context.Context) error {
 // jobs, riding out a daemon restart. When the retry budgets run out,
 // the jobs not yet delivered are skipped and the failure returned so a
 // caller can retry them, matching the worker-backend contract. The
-// submissions carry the WithEstimate spec, or none.
+// submissions carry no estimate spec, so the daemon's default applies.
 func (c *Client) RunProgress(ctx context.Context, jobs []engine.Job, done func(i int, r engine.Result)) ([]engine.Result, error) {
-	return c.run(ctx, jobs, c.estimate, done)
+	return c.run(ctx, jobs, nil, done)
 }
 
 // RunEstimate implements engine.EstimateBackend: it is RunProgress
@@ -237,7 +222,7 @@ func (c *Client) RunEstimate(ctx context.Context, jobs []engine.Job, modes []eng
 	var specs []EstimateSpec
 	groups := make(map[EstimateSpec][]int)
 	for i, m := range modes {
-		sp := *estimateSpec(m)
+		sp := estimateSpec(m)
 		if _, ok := groups[sp]; !ok {
 			specs = append(specs, sp)
 		}

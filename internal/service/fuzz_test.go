@@ -1,0 +1,108 @@
+package service
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"testing"
+
+	"power5prio/internal/engine"
+	"power5prio/internal/remote"
+)
+
+// FuzzSubmitRequest drives the daemon's submit endpoint with arbitrary
+// bodies over a synthetic backend (nothing simulates). The handler must
+// never panic and must answer with one of its documented statuses;
+// every 200 must stream a header, exactly one result event per request
+// index under that job's key, and a closing done event; and no exchange
+// may leave queued jobs or a tenant behind.
+func FuzzSubmitRequest(f *testing.F) {
+	const maxQueue = 4
+	wire := func(jobs []engine.Job) []remote.WireJob {
+		out := make([]remote.WireJob, len(jobs))
+		for i, j := range jobs {
+			out[i] = remote.WireJob{Key: engine.JobKey(j).String(), Job: j}
+		}
+		return out
+	}
+	body := func(req SubmitRequest) []byte {
+		b, err := json.Marshal(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
+	valid := body(SubmitRequest{Protocol: ProtocolVersion, Client: "c", Jobs: wire(svcJobs(2, 0))})
+	drifted := wire(svcJobs(1, 10))
+	drifted[0].Key = "sha256:0000"
+	for _, seed := range [][]byte{
+		valid,
+		body(SubmitRequest{Protocol: ProtocolVersion, Client: "d", Jobs: drifted}),
+		body(SubmitRequest{Protocol: "p5queue/v0", Client: "c", Jobs: wire(svcJobs(1, 20))}),
+		valid[:len(valid)/2],
+		[]byte(`{}`),
+		body(SubmitRequest{Protocol: ProtocolVersion, Client: "e"}),
+		body(SubmitRequest{Protocol: ProtocolVersion, Client: "f", Jobs: wire(svcJobs(maxQueue+1, 30))}),
+	} {
+		f.Add(seed)
+	}
+
+	d := New(engine.NewWith(0, nil, engine.WithBackend(&countingBackend{})), nil, Config{MaxQueue: maxQueue})
+	ctx, cancel := context.WithCancel(context.Background())
+	go d.Run(ctx)
+	f.Cleanup(func() {
+		d.Close()
+		cancel()
+	})
+	h := d.Handler()
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, SubmitPath, bytes.NewReader(body)))
+		defer func() {
+			if st := d.Stats(); st.QueueDepth != 0 || st.Tenants != 0 {
+				t.Fatalf("status %d left queue depth %d and %d tenants for body %.200q", rec.Code, st.QueueDepth, st.Tenants, body)
+			}
+		}()
+		switch rec.Code {
+		case http.StatusOK:
+		case http.StatusBadRequest, http.StatusTooManyRequests:
+			return
+		default:
+			t.Fatalf("status %d for body %.200q", rec.Code, body)
+		}
+		// The handler decodes the first JSON value of the body, so the
+		// request it answered is what the same decoder reads.
+		var req SubmitRequest
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+			t.Fatalf("200 for a body that does not decode: %v", err)
+		}
+		dec := json.NewDecoder(rec.Body)
+		var events []Event
+		for {
+			var ev Event
+			if err := dec.Decode(&ev); err != nil {
+				break
+			}
+			events = append(events, ev)
+		}
+		if len(events) < 2 || events[0].Type != EventHeader || events[len(events)-1].Type != EventDone {
+			t.Fatalf("stream %+v does not run header … done", events)
+		}
+		seen := make([]bool, len(req.Jobs))
+		for _, ev := range events[1 : len(events)-1] {
+			if ev.Type != EventResult || ev.Result == nil || ev.Index < 0 || ev.Index >= len(req.Jobs) || seen[ev.Index] {
+				t.Fatalf("stray or repeated event %+v for %d jobs", ev, len(req.Jobs))
+			}
+			seen[ev.Index] = true
+			if ev.Result.Key != req.Jobs[ev.Index].Key {
+				t.Fatalf("result %d has key %q, want %q", ev.Index, ev.Result.Key, req.Jobs[ev.Index].Key)
+			}
+		}
+		if n := len(events) - 2; n != len(req.Jobs) {
+			t.Fatalf("%d result events for %d jobs", n, len(req.Jobs))
+		}
+	})
+}

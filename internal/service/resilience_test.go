@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"power5prio/internal/cachestore"
 	"power5prio/internal/core"
 	"power5prio/internal/engine"
 	"power5prio/internal/fame"
@@ -477,5 +478,59 @@ func TestWorkerFailureRetry(t *testing.T) {
 	}
 	if eng.Stats().Remote.WorkerErrors == 0 {
 		t.Error("injected worker failure not counted in Remote.WorkerErrors")
+	}
+}
+
+// TestSharedStoreShortCircuit: a daemon whose cache directory an
+// earlier daemon warmed answers every job from disk, and its worker
+// receives no run request. The daemon is the only cache owner on the
+// serving path; workers keep none.
+func TestSharedStoreShortCircuit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("chip-level simulation")
+	}
+	dir := t.TempDir()
+	jobs := chipJobs(t, 4)
+	worker := httptest.NewServer(remote.NewServer(remote.ServerConfig{Workers: 2}).Handler())
+	t.Cleanup(worker.Close)
+	var runs atomic.Int32
+	counted := proxy(t, worker.URL, func() bool { runs.Add(1); return true })
+
+	// serve starts a fresh daemon on dir with the counted worker and
+	// runs the jobs through it.
+	serve := func() ([]engine.Result, *Daemon) {
+		st, err := cachestore.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fleet := remote.NewDynamic()
+		d := New(engine.NewWith(0, nil, engine.WithBackend(fleet), engine.WithStore(st)), fleet, Config{})
+		srv := startDaemon(t, d)
+		if _, err := d.RegisterWorker(context.Background(), counted); err != nil {
+			t.Fatal(err)
+		}
+		res, err := NewClient(srv.URL).RunProgress(nil, jobs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, d
+	}
+
+	want, d1 := serve()
+	cold := runs.Load()
+	if s := d1.Stats(); s.Simulated != len(jobs) || cold == 0 {
+		t.Fatalf("cold daemon stats %+v after %d run requests, want %d simulated on the worker", s, cold, len(jobs))
+	}
+	got, d2 := serve()
+	for i := range jobs {
+		if got[i].Err != nil || !got[i].CacheHit || got[i].Pair != want[i].Pair {
+			t.Fatalf("warm daemon job %d = %+v, want the cold answer from its store", i, got[i])
+		}
+	}
+	if s := d2.Stats(); s.Simulated != 0 || s.DiskHits != len(jobs) {
+		t.Errorf("warm daemon stats %+v, want 0 simulated / %d disk hits", s, len(jobs))
+	}
+	if n := runs.Load() - cold; n != 0 {
+		t.Errorf("warm daemon sent its worker %d run requests, want 0", n)
 	}
 }

@@ -165,9 +165,6 @@ func New(eng *engine.Engine, fleet *remote.ShardedBackend, cfg Config) *Daemon {
 	return d
 }
 
-// Engine returns the daemon's engine.
-func (d *Daemon) Engine() *engine.Engine { return d.eng }
-
 func (d *Daemon) logf(format string, args ...any) {
 	if d.cfg.Logf != nil {
 		d.cfg.Logf(format, args...)
@@ -195,6 +192,11 @@ func (d *Daemon) enqueue(client string, jobs []engine.Job, mode engine.EstimateM
 		d.rejected++
 		return nil, fmt.Errorf("%w: %d queued + %d submitted exceeds the %d-job bound",
 			ErrQueueFull, d.depth, len(jobs), d.cfg.MaxQueue)
+	}
+	if len(jobs) == 0 {
+		// Nothing to queue: a tenant entry would only leave the ring
+		// once other work flows, and client IDs are untrusted.
+		return sub, nil
 	}
 	q := d.queues[client]
 	if q == nil {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -123,6 +124,33 @@ func TestAdmissionControl(t *testing.T) {
 	st := d.Stats()
 	if st.QueueDepth != 4 || st.Rejected != 1 || st.Tenants != 2 {
 		t.Fatalf("stats %+v, want depth 4, 1 rejected, 2 tenants", st)
+	}
+}
+
+// TestNoRunnableJobsNoTenant: a submission that queues nothing — an
+// empty job list, or one whose every key drifted — registers no
+// tenant, so untrusted client IDs cannot grow an idle daemon's tenant
+// table.
+func TestNoRunnableJobsNoTenant(t *testing.T) {
+	d := New(engine.NewWith(0, nil, engine.WithBackend(&countingBackend{})), nil, Config{})
+	srv := startDaemon(t, d)
+	drifted := []remote.WireJob{{Key: "sha256:0000", Job: svcJobs(1, 0)[0]}}
+	for _, client := range []string{"a", "b", "c"} {
+		for _, jobs := range [][]remote.WireJob{nil, drifted} {
+			body, _ := json.Marshal(SubmitRequest{Protocol: ProtocolVersion, Client: client, Jobs: jobs})
+			resp, err := http.Post(srv.URL+SubmitPath, "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("client %s, %d jobs: status %s, want 200", client, len(jobs), resp.Status)
+			}
+		}
+	}
+	if st := d.Stats(); st.Tenants != 0 || st.QueueDepth != 0 {
+		t.Fatalf("stats %+v, want 0 tenants and an empty queue", st)
 	}
 }
 
@@ -301,10 +329,18 @@ func TestServiceEstimate(t *testing.T) {
 	srv := startDaemon(t, d)
 
 	jobs := svcJobs(3, 0)
+	// every gives each of n jobs the same mode.
+	every := func(m engine.EstimateMode, n int) []engine.EstimateMode {
+		modes := make([]engine.EstimateMode, n)
+		for i := range modes {
+			modes[i] = m
+		}
+		return modes
+	}
 
 	// c1 accepts any estimate: flagged results with the model's error
 	// bar, and zero backend traffic.
-	res, err := NewClient(srv.URL, WithClientID("c1"), WithEstimate(engine.EstimateAlways())).RunProgress(nil, jobs, nil)
+	res, err := NewClient(srv.URL, WithClientID("c1")).RunEstimate(nil, jobs, every(engine.EstimateAlways(), len(jobs)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +370,7 @@ func TestServiceEstimate(t *testing.T) {
 
 	// c3's tolerance is below the model's bar: every job escalates to
 	// the exact path, which the now-warm cache serves.
-	res3, err := NewClient(srv.URL, WithClientID("c3"), WithEstimate(engine.EstimateTolerance(0.1))).RunProgress(nil, jobs, nil)
+	res3, err := NewClient(srv.URL, WithClientID("c3")).RunEstimate(nil, jobs, every(engine.EstimateTolerance(0.1), len(jobs)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +392,7 @@ func TestServiceEstimate(t *testing.T) {
 	if !res4[0].Estimated || !res4[1].Estimated {
 		t.Fatalf("default-riding client missed the daemon's Always default: %+v", res4)
 	}
-	res5, err := NewClient(srv.URL, WithClientID("c5"), WithEstimate(engine.EstimateOff())).RunProgress(nil, jobs2, nil)
+	res5, err := NewClient(srv.URL, WithClientID("c5")).RunEstimate(nil, jobs2, every(engine.EstimateOff(), len(jobs2)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
