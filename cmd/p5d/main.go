@@ -1,5 +1,5 @@
 // Command p5d is the long-running measurement daemon: many concurrent
-// clients (p5exp/p5sim -submit, power5prio.WithService, or raw p5queue/v3
+// clients (p5exp/p5sim -submit, power5prio.WithService, or raw p5queue/v4
 // HTTP) stream job submissions to one shared engine, with admission
 // control, weighted round-robin fairness across client IDs, and
 // cross-client deduplication — identical jobs from different clients
@@ -18,8 +18,12 @@
 // heartbeats it — so the fleet grows without restarting the daemon.
 // A worker whose run fails is left out of later batches until its
 // next heartbeat or a successful run, so the daemon keeps serving
-// while individual workers die and rejoin, and it requeues the jobs a
-// failed worker dropped.
+// while individual workers die and rejoin.
+//
+// The daemon dispatches each job once. Jobs a failed worker dropped,
+// jobs cut off by -job-timeout, and jobs dispatched while the fleet is
+// still empty go back to their client as skipped results; the client
+// is the one retry owner and resubmits them (service.Client does).
 //
 // Every daemon carries the tier-0 analytical estimator, and it is the
 // tier 0 of every client that talks to it: clients run no estimator of
@@ -37,9 +41,9 @@
 // estimator counters, a per-client answer-tier breakdown, and which
 // fleet workers are down. SIGINT/SIGTERM drain gracefully: admission
 // stops (503 + Retry-After), in-flight dispatches finish, and every
-// open stream ends with its terminal event — queued jobs that never
-// ran are handed back as a "drained" event so clients resubmit them to
-// the daemon's successor.
+// open stream ends with done — queued jobs that never ran are handed
+// back as skipped results so clients resubmit them to the daemon's
+// successor.
 //
 // -chaos loads a deterministic fault-injection plan (see
 // internal/chaos) and applies it to this daemon's execution backend and
@@ -66,18 +70,15 @@ import (
 
 func main() {
 	var (
-		listen      = flag.String("listen", "127.0.0.1:7551", "address to serve the p5queue protocol on (host:port; port 0 picks a free port)")
-		workers     = flag.Int("workers", 0, "local simulation pool size without -fleet (0 = all CPU cores)")
-		fleetMode   = flag.Bool("fleet", false, "start with an empty worker fleet and rely on runtime registration (POST /v1/register)")
-		maxQueue    = flag.Int("max-queue", 1024, "admission bound: queued jobs beyond this are rejected with 429")
-		weight      = flag.Int("weight", 8, "jobs one tenant contributes per round-robin turn")
-		batchMax    = flag.Int("batch-max", 32, "largest dispatch batch handed to the engine at once")
-		dispatchers = flag.Int("dispatchers", 2, "concurrent dispatch loops (an interactive job never waits for a bulk batch)")
-		jobTimeout  = flag.Duration("job-timeout", 0, "per-job execution deadline within a dispatch (0 = none; deadlined jobs requeue)")
-		chaosPlan   = flag.String("chaos", "", "fault-injection plan JSON (see internal/chaos) applied to the backend and cache store")
-		quiet       = flag.Bool("quiet", false, "suppress the per-event log lines")
-		est         = flag.String("estimate", "off", cmdutil.EstimateFlagHelp+" Sets the default for submissions without their own estimate spec.")
-		common      = cmdutil.AddCommonFlags("p5d", flag.CommandLine)
+		listen     = flag.String("listen", "127.0.0.1:7551", "address to serve the p5queue protocol on (host:port; port 0 picks a free port)")
+		workers    = flag.Int("workers", 0, "local simulation pool size without -fleet (0 = all CPU cores)")
+		fleetMode  = flag.Bool("fleet", false, "start with an empty worker fleet and rely on runtime registration (POST /v1/register)")
+		maxQueue   = flag.Int("max-queue", 1024, "admission bound: queued jobs beyond this are rejected with 429")
+		jobTimeout = flag.Duration("job-timeout", 0, "per-job execution deadline within a dispatch (0 = none; deadlined jobs go back to their client skipped, for it to resubmit)")
+		chaosPlan  = flag.String("chaos", "", "fault-injection plan JSON (see internal/chaos) applied to the backend and cache store")
+		quiet      = flag.Bool("quiet", false, "suppress the per-event log lines")
+		est        = flag.String("estimate", "off", cmdutil.EstimateFlagHelp+" Sets the default for submissions without their own estimate spec.")
+		common     = cmdutil.AddCommonFlags("p5d", flag.CommandLine)
 	)
 	flag.Parse()
 	estMode := cmdutil.ParseEstimate("p5d", *est)
@@ -137,11 +138,8 @@ func main() {
 	eng.SetEstimateMode(estMode)
 
 	cfg := service.Config{
-		MaxQueue:    *maxQueue,
-		Weight:      *weight,
-		BatchMax:    *batchMax,
-		Dispatchers: *dispatchers,
-		JobTimeout:  *jobTimeout,
+		MaxQueue:   *maxQueue,
+		JobTimeout: *jobTimeout,
 	}
 	if !*quiet {
 		cfg.Logf = logf
@@ -170,8 +168,8 @@ func main() {
 
 	// The dispatch loops deliberately do NOT run on the signal context:
 	// SIGTERM must drain — finish in-flight dispatches, hand queued work
-	// back as drained events — not cancel mid-simulation (which would
-	// resolve jobs as skipped). Serve observes the signal, drains and
+	// back skipped — not cancel mid-simulation, which would throw the
+	// in-flight work away. Serve observes the signal, drains and
 	// closes the daemon; Run exits on Close, and the cancel below is
 	// only a safety net for an errored Serve.
 	runCtx, cancelRun := context.WithCancel(context.Background())

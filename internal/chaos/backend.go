@@ -11,8 +11,8 @@ import (
 // Backend wraps an engine.Backend with OpRun faults: crash-mid-batch,
 // skip-without-error and straggler delays. It preserves the backend
 // contract — one result per job in order, never-attempted jobs carry
-// Skipped — so everything above (engine caching, daemon requeue, client
-// resume) sees exactly the failures a real fleet produces.
+// Skipped — so everything above (engine caching, the daemon's skipped
+// hand-back, client resubmission) sees exactly the failures a real fleet produces.
 type Backend struct {
 	inner engine.Backend
 	inj   *Injector

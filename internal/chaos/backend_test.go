@@ -95,7 +95,7 @@ func TestBackendCrash(t *testing.T) {
 
 // TestBackendSkip pins the silent-drop fault: stranded jobs are skipped
 // but the call succeeds — no backend-level error for the engine to act
-// on, exactly the shape the daemon's requeue path must absorb.
+// on, exactly the shape the daemon hands back for its client to resubmit.
 func TestBackendSkip(t *testing.T) {
 	b := WrapBackend(&fakeBackend{}, NewInjector(Plan{Rules: []Rule{{Op: OpRun, Fault: FaultSkip, Count: 1}}}))
 	out, err := b.RunProgress(context.Background(), chaosJobs(4), nil)

@@ -60,8 +60,8 @@ type RemoteStats struct {
 	// Jobs answered over the wire: run by a fleet worker, which keeps no
 	// cache, or delivered by a p5d daemon from any of its tiers.
 	Jobs int
-	// Retries are jobs resubmitted to a p5d daemon after backpressure or
-	// a dropped, drained or stalled stream.
+	// Retries are jobs resubmitted to a p5d daemon after backpressure,
+	// a skipped hand-back, or a dropped or stalled stream.
 	Retries int
 	// WorkerErrors are worker-level failures observed (unreachable,
 	// bad protocol, non-2xx responses) — on a fleet, each marks the

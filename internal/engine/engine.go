@@ -680,8 +680,15 @@ dispatch:
 // what Execute returns for every job. The registry resolves the job's
 // workload refs (nil = a fresh built-ins-only registry). Invalid jobs
 // return errors rather than panicking so a bad name cannot take down a
-// whole batch.
-func Execute(reg *workload.Registry, j Job) (fame.PairResult, error) {
+// whole batch, and a panic inside the simulation (a configuration that
+// validates but cannot be built) is recovered as that job's error, so
+// one job never takes down the process that runs it.
+func Execute(reg *workload.Registry, j Job) (pair fame.PairResult, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			pair, err = fame.PairResult{}, fmt.Errorf("engine: job panicked: %v", p)
+		}
+	}()
 	if reg == nil {
 		reg = workload.NewRegistry()
 	}

@@ -147,7 +147,7 @@ func TestMatrixCancellation(t *testing.T) {
 }
 
 // failingBackend runs jobs on the local pool but fails one job the way
-// a p5d daemon that ran out of dispatch attempts does.
+// a worker whose simulation of it panicked does.
 type failingBackend struct {
 	engine.Backend
 	fail engine.Job
@@ -157,7 +157,7 @@ func (b failingBackend) RunProgress(ctx context.Context, jobs []engine.Job, _ fu
 	out, err := b.Backend.RunProgress(ctx, jobs, nil)
 	for i, j := range jobs {
 		if j == b.fail {
-			out[i] = engine.Result{Job: j, Err: errors.New("service: job gave up after 5 dispatch attempts")}
+			out[i] = engine.Result{Job: j, Err: errors.New("engine: job panicked: runtime error: makeslice: len out of range")}
 		}
 	}
 	return out, err
@@ -173,7 +173,7 @@ func TestMatrixJobError(t *testing.T) {
 
 	diffs := []int{0, 2}
 	m, err := RunMatrix(context.Background(), h, matrixNames, matrixNames, diffs)
-	if err == nil || !strings.Contains(err.Error(), "gave up") ||
+	if err == nil || !strings.Contains(err.Error(), "panicked") ||
 		!strings.Contains(err.Error(), fail.Primary.String()+"+"+fail.Secondary.String()) {
 		t.Fatalf("RunMatrix error = %v, want the failed job named", err)
 	}

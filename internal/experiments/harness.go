@@ -236,7 +236,7 @@ func (b *batch) add(j engine.Job, f func(fame.PairResult)) {
 // runWith submits the batch and assigns every completed result. Jobs
 // that did not complete stay unassigned: the returned error is the
 // first job failure, naming the job (a backend can fail one, e.g. a
-// p5d daemon whose dispatch attempts ran out), or else the
+// worker whose simulation of it panicked), or else the
 // cancellation error of a skipped job.
 func (b *batch) runWith(ctx context.Context, h Harness, eng *engine.Engine) error {
 	results := eng.RunFunc(ctx, b.jobs, h.progressFunc())

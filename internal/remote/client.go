@@ -17,8 +17,8 @@ import (
 
 // DefaultMaxInFlight is the per-worker in-flight job limit: the largest
 // chunk of a batch a client keeps outstanding on one worker. Small
-// enough that a slow worker strands few jobs when it fails (the daemon
-// requeues them), large enough to keep a worker's pool busy and
+// enough that a slow worker strands few jobs when it fails (they go back
+// skipped, for the client to resubmit), large enough to keep a worker's pool busy and
 // amortize the HTTP round trip.
 const DefaultMaxInFlight = 16
 

@@ -134,7 +134,7 @@ func TestFleetMembership(t *testing.T) {
 	s.chunk = 4 // an 8-job batch is one chunk per worker
 
 	// bad fails its chunk, which comes back skipped for the caller to
-	// requeue; good completes the rest, and bad is marked down.
+	// resubmit; good completes the rest, and bad is marked down.
 	interleave(good, bad)
 	res, err := s.RunProgress(nil, dummyJobs(8), nil)
 	wantChunkSkipped(t, res, err, "bad")
@@ -212,7 +212,7 @@ func TestFleetMembership(t *testing.T) {
 // TestSkippedWithoutError pins the fleet's handling of a worker that
 // answers a batch without executing it and without an error: the jobs
 // come back Skipped with a diagnostic naming the worker (never as
-// empty successes), once — the daemon's requeue owns the retry.
+// empty successes), once — the daemon's client owns the retry.
 func TestSkippedWithoutError(t *testing.T) {
 	w := &scriptedWorker{name: "skipper", skipRun: true}
 	res, err := NewDynamic(w).RunProgress(nil, dummyJobs(3), nil)

@@ -14,6 +14,7 @@ import (
 	"power5prio/internal/engine"
 	"power5prio/internal/fame"
 	"power5prio/internal/isa"
+	"power5prio/internal/mem"
 	"power5prio/internal/microbench"
 	"power5prio/internal/prio"
 	"power5prio/internal/workload"
@@ -195,6 +196,40 @@ func TestKeyMismatch(t *testing.T) {
 	}
 	if len(rr.Results) != 1 || !strings.Contains(rr.Results[0].Err, "key mismatch") {
 		t.Errorf("forged key not rejected: %+v", rr.Results)
+	}
+}
+
+// TestHugeL2JobIsAJobError: a correctly keyed job whose L2 cannot be
+// allocated (it passes config validation, then panics building the
+// chip) comes back from a worker as a per-job error instead of killing
+// the process, and the same worker then runs a normal job.
+func TestHugeL2JobIsAJobError(t *testing.T) {
+	addr := startWorker(t, ServerConfig{Workers: 1})
+	run := func(j engine.Job) WireResult {
+		t.Helper()
+		body, _ := json.Marshal(RunRequest{Protocol: ProtocolVersion, Jobs: []WireJob{{Key: engine.JobKey(j).String(), Job: j}}})
+		resp, err := http.Post(addr+RunPath, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var rr RunResponse
+		if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
+			t.Fatal(err)
+		}
+		if len(rr.Results) != 1 {
+			t.Fatalf("%d results for one job", len(rr.Results))
+		}
+		return rr.Results[0]
+	}
+	j := engine.Single(ref(t, microbench.CPUInt), prio.Supervisor, testScale, core.DefaultConfig(), testOptions())
+	huge := j
+	huge.Chip.Mem.L2 = mem.CacheConfig{SizeBytes: 1 << 62, Ways: 1, LineBytes: 128}
+	if r := run(huge); !strings.Contains(r.Err, "panic") {
+		t.Fatalf("huge-L2 job = %+v, want a per-job error naming the panic", r)
+	}
+	if r := run(j); r.Err != "" || r.Pair.TotalIPC == 0 {
+		t.Fatalf("normal job after the huge one = %+v, want a clean measurement", r)
 	}
 }
 

@@ -20,8 +20,9 @@ import (
 // Scheduling is work-stealing rather than static: each worker pulls the
 // next chunk of at most DefaultMaxInFlight jobs when it becomes free,
 // so a fast worker takes more of the batch than a slow one. The fleet
-// does not retry: a failed worker's jobs come back Skipped, and the p5d
-// daemon that owns the fleet requeues them. Job-level errors are
+// does not retry: a failed worker's jobs come back Skipped, the p5d
+// daemon that owns the fleet hands them back to their client, and the
+// client resubmits them. Job-level errors are
 // deterministic and are never retried.
 //
 // Membership follows the workers' own signals. A worker whose run
@@ -156,8 +157,8 @@ func (s *ShardedBackend) RemoteStats() engine.RemoteStats {
 // DefaultMaxInFlight jobs from a shared cursor until the batch is
 // taken. A worker that fails returns its chunk's unfinished jobs
 // Skipped with its error, is marked down and takes no more chunks; the chunks nobody has taken go to the
-// survivors. Skipped jobs are not retried here: the caller
-// (the p5d daemon's requeue) owns retries. The batch error joins the
+// survivors. Skipped jobs are not retried here: the p5d daemon hands
+// them back, and its client owns retries. The batch error joins the
 // worker failures, and is nil when none failed. On cancellation the
 // untaken jobs return Skipped with the context's error.
 func (s *ShardedBackend) RunProgress(ctx context.Context, jobs []Job, done func(i int, r Result)) ([]Result, error) {

@@ -42,7 +42,8 @@ const (
 	// DefaultResumeAttempts is how many consecutive resumes may make no
 	// progress (no new result landed) before the client gives up. With
 	// exponential backoff this spans roughly a minute of daemon outage
-	// — enough to ride a restart.
+	// — enough to ride a restart, or an empty fleet until its workers
+	// register.
 	DefaultResumeAttempts = 10
 	// healthTimeout bounds one Healthy probe.
 	healthTimeout = 5 * time.Second
@@ -65,10 +66,11 @@ const maxRetryWait = 10 * time.Second
 // only locally-unknown jobs travel, and the daemon's tier 0 answers the
 // jobs whose mode accepts an estimate.
 //
-// The client rides failures out rather than surfacing them: admission
-// backpressure (429, or 503 + Retry-After from a draining daemon) backs
-// off under a cumulative cap; a stalled, truncated or drained stream is
-// dropped and only the unfinished jobs are resubmitted — against a
+// The client is the serving stack's one retry owner and rides failures
+// out rather than surfacing them: admission backpressure (429, or 503 +
+// Retry-After from a draining daemon) backs off under a cumulative cap;
+// jobs the daemon hands back skipped, and those a stalled or truncated
+// stream left unresolved, are resubmitted — only those. Against a
 // restarted daemon the warm cache and singleflight make the resume
 // cheap and the merged results byte-identical.
 type Client struct {
@@ -203,11 +205,12 @@ func (c *Client) Healthy(ctx context.Context) error {
 // RunProgress submits the batch in chunks, streaming each job's result
 // through done as the daemon reports it. Backpressure (429 or a
 // draining daemon's 503) backs off and retries under a cumulative cap;
-// a stalled, truncated or drained stream resubmits only its unfinished
-// jobs, riding out a daemon restart. When the retry budgets run out,
-// the jobs not yet delivered are skipped and the failure returned so a
-// caller can retry them, matching the worker-backend contract. The
-// submissions carry no estimate spec, so the daemon's default applies.
+// skipped results and a stalled or truncated stream resubmit only the
+// unfinished jobs, riding out a daemon restart or an empty fleet. When
+// the retry budgets run out, the jobs not yet delivered are skipped and
+// the failure returned so a caller can retry them, matching the
+// worker-backend contract. The submissions carry no estimate spec, so
+// the daemon's default applies.
 func (c *Client) RunProgress(ctx context.Context, jobs []engine.Job, done func(i int, r engine.Result)) ([]engine.Result, error) {
 	return c.run(ctx, jobs, nil, done)
 }
@@ -313,8 +316,9 @@ type errBackpressure struct {
 
 func (e *errBackpressure) Error() string { return e.msg }
 
-// errResumable marks a dropped stream the client may resume: transport
-// failure, mid-stream truncation, an idle-deadline stall, or a 5xx.
+// errResumable marks an exchange the client may resume: skipped
+// results, transport failure, mid-stream truncation, an idle-deadline
+// stall, or a 5xx.
 type errResumable struct{ cause error }
 
 func (e *errResumable) Error() string { return e.cause.Error() }
@@ -322,9 +326,9 @@ func (e *errResumable) Unwrap() error { return e.cause }
 
 // submitChunk drives jobs[start:end] to completion under spec: it
 // submits the pending set, collects results, and loops — resubmitting
-// only the unfinished jobs — through backpressure, stream drops,
-// drains and daemon-side skips, until everything resolved or a retry
-// budget runs out.
+// only the unfinished jobs — through backpressure, stream drops and
+// skipped hand-backs, until everything resolved or a retry budget runs
+// out.
 func (c *Client) submitChunk(ctx context.Context, jobs []engine.Job, spec *EstimateSpec, start, end int, report func(int, engine.Result)) error {
 	pending := make([]int, 0, end-start)
 	for k := start; k < end; k++ {
@@ -338,7 +342,7 @@ func (c *Client) submitChunk(ctx context.Context, jobs []engine.Job, spec *Estim
 			return err
 		}
 		unfinished, err := c.trySubmit(ctx, jobs, spec, pending, report)
-		if err == nil && len(unfinished) == 0 {
+		if err == nil {
 			return nil
 		}
 		var bp *errBackpressure
@@ -355,11 +359,6 @@ func (c *Client) submitChunk(ctx context.Context, jobs []engine.Job, spec *Estim
 				return err
 			}
 			continue
-		case err == nil:
-			// The stream finished cleanly but left work unfinished: a
-			// terminal drained event, or results the daemon marked
-			// skipped after exhausting its own dispatch attempts.
-			lastCause = errors.New("stream ended with unfinished jobs (daemon drained or skipped them)")
 		case errors.As(err, &rs):
 			lastCause = rs.cause
 		default:
@@ -371,8 +370,8 @@ func (c *Client) submitChunk(ctx context.Context, jobs []engine.Job, spec *Estim
 			stalls++
 		}
 		if stalls > c.resumeAttempts {
-			return fmt.Errorf("giving up after %d stream resumes without progress (%d of %d jobs unfinished): %w",
-				stalls, len(unfinished), end-start, lastCause)
+			return fmt.Errorf("giving up after %d stream resumes without progress (budget %d; %d of %d jobs unfinished): %w",
+				stalls, c.resumeAttempts, len(unfinished), end-start, lastCause)
 		}
 		pending = unfinished
 		c.addRetries(len(pending))
@@ -385,10 +384,10 @@ func (c *Client) submitChunk(ctx context.Context, jobs []engine.Job, spec *Estim
 
 // trySubmit performs one submit exchange for the pending set (absolute
 // indices into jobs), carrying spec as the submission's estimate spec.
-// Deterministic results are reported as they
-// stream; daemon-skipped results are withheld and returned as
-// unfinished instead, alongside anything a drained event or a dropped
-// stream left unresolved. The error classifies the exchange:
+// Deterministic results are reported as they stream; skipped results
+// are withheld and returned as unfinished instead, alongside anything a
+// dropped stream left unresolved. A nil error means every pending job
+// was reported. Otherwise the error classifies the exchange:
 // *errBackpressure and *errResumable are retryable, everything else is
 // final.
 func (c *Client) trySubmit(ctx context.Context, jobs []engine.Job, spec *EstimateSpec, pending []int, report func(int, engine.Result)) ([]int, error) {
@@ -471,8 +470,8 @@ func (c *Client) trySubmit(ctx context.Context, jobs []engine.Job, spec *Estimat
 
 	// Decode the event stream. Every accepted job must resolve before
 	// EventDone; the daemon's key echoes are verified against ours, so
-	// drift fails loudly in both directions. A drained trailer (or a
-	// dropped stream) leaves the unresolved jobs for the next attempt.
+	// drift fails loudly in both directions. Skipped results (or a
+	// dropped stream) leave the unresolved jobs for the next attempt.
 	dec := json.NewDecoder(hresp.Body)
 	var header Event
 	if err := dec.Decode(&header); err != nil {
@@ -485,9 +484,9 @@ func (c *Client) trySubmit(ctx context.Context, jobs []engine.Job, spec *Estimat
 	if err := checkProtocol(header.Protocol); err != nil {
 		return pending, err
 	}
-	resolved := 0 // final results + daemon-skipped, this attempt
+	resolved := 0 // final results + skipped, this attempt
 	reported := 0 // final results delivered to report
-	daemonSkipped := 0
+	var skipped error
 	for {
 		var ev Event
 		if err := dec.Decode(&ev); err != nil {
@@ -507,13 +506,12 @@ func (c *Client) trySubmit(ctx context.Context, jobs []engine.Job, spec *Estimat
 				return unfinished(), fmt.Errorf("submit stream returned result for key %s at position of %s", ev.Result.Key, req.Jobs[k].Key)
 			}
 			if ev.Skipped {
-				// The daemon gave up dispatching this job (its requeue
-				// budget ran out — e.g. the whole fleet is down). Not a
-				// deterministic outcome, so withhold it and let the
-				// resume loop retry rather than surfacing a transient
-				// fleet failure as a job error.
+				// The daemon handed the job back unanswered (a failed
+				// dispatch, an empty fleet, a drain). Not a deterministic
+				// outcome, so withhold it for the resume loop rather than
+				// surfacing a transient failure as a job error.
 				resolved++
-				daemonSkipped++
+				skipped = fmt.Errorf("daemon handed jobs back skipped: %s", ev.Result.Err)
 				continue
 			}
 			final[k] = true
@@ -528,14 +526,6 @@ func (c *Client) trySubmit(ctx context.Context, jobs []engine.Job, spec *Estimat
 				r.Pair = fame.PairResult{}
 			}
 			report(pending[k], r)
-		case EventDrained:
-			// Terminal: the daemon drained before everything ran. Our
-			// own bookkeeping already knows which jobs never resolved;
-			// the event's sorted key list is the daemon's word for it.
-			c.mu.Lock()
-			c.rs.Jobs += reported
-			c.mu.Unlock()
-			return unfinished(), nil
 		case EventDone:
 			if ev.Err != "" {
 				return unfinished(), fmt.Errorf("daemon reported: %s", ev.Err)
@@ -546,7 +536,10 @@ func (c *Client) trySubmit(ctx context.Context, jobs []engine.Job, spec *Estimat
 			c.mu.Lock()
 			c.rs.Jobs += reported
 			c.mu.Unlock()
-			return unfinished(), nil
+			if skipped != nil {
+				return unfinished(), &errResumable{cause: skipped}
+			}
+			return nil, nil
 		default:
 			return unfinished(), fmt.Errorf("submit stream sent unknown event type %q", ev.Type)
 		}

@@ -16,8 +16,8 @@ import (
 // bodies over a synthetic backend (nothing simulates). The handler must
 // never panic and must answer with one of its documented statuses;
 // every 200 must stream a header, exactly one result event per request
-// index under that job's key, and a closing done event; and no exchange
-// may leave queued jobs or a tenant behind.
+// index under that job's key (skipped or not), and a closing done
+// event; and no exchange may leave queued jobs or a tenant behind.
 func FuzzSubmitRequest(f *testing.F) {
 	const maxQueue = 4
 	wire := func(jobs []engine.Job) []remote.WireJob {
@@ -45,6 +45,10 @@ func FuzzSubmitRequest(f *testing.F) {
 		[]byte(`{}`),
 		body(SubmitRequest{Protocol: ProtocolVersion, Client: "e"}),
 		body(SubmitRequest{Protocol: ProtocolVersion, Client: "f", Jobs: wire(svcJobs(maxQueue+1, 30))}),
+		// A v3 client's body: the protocol before skipped results became
+		// the one resubmit signal.
+		body(SubmitRequest{Protocol: "p5queue/v3", Client: "g", Jobs: wire(svcJobs(1, 40))}),
+		[]byte(`{"protocol":"p5queue/v4","client":"h","estimate":{"always":true},"jobs":[]}`),
 	} {
 		f.Add(seed)
 	}

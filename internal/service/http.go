@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"sort"
 	"time"
 
 	"power5prio/internal/engine"
@@ -170,17 +169,9 @@ func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	var unfinished []string
 	for served := 0; served < len(runnable); served++ {
 		select {
 		case ir := <-sub.ch:
-			if ir.drained {
-				// Flushed by shutdown: never attempted, never failed.
-				// Collected into the terminal drained event instead of
-				// being resolved as a skipped result.
-				unfinished = append(unfinished, runnableKey[ir.idx])
-				continue
-			}
 			res := wireResult(runnableKey[ir.idx], ir.res)
 			if !emit(Event{Type: EventResult, Index: runnableIdx[ir.idx], Result: &res, Skipped: ir.res.Skipped}) {
 				return
@@ -190,11 +181,6 @@ func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			// submission channel is buffered) and warm the cache.
 			return
 		}
-	}
-	if len(unfinished) > 0 {
-		sort.Strings(unfinished)
-		emit(Event{Type: EventDrained, Unfinished: unfinished})
-		return
 	}
 	emit(Event{Type: EventDone})
 }
@@ -213,13 +199,13 @@ func wireResult(key string, r engine.Result) remote.WireResult {
 
 // drainTimeout bounds the graceful-shutdown window: how long open
 // streams get to finish their in-flight dispatches and emit their
-// terminal drained/done events before the listener is torn down.
+// done events before the listener is torn down.
 const drainTimeout = 30 * time.Second
 
 // Serve runs the daemon's HTTP front end on the listener until ctx is
 // cancelled, then shuts down gracefully: Drain first — admission stops
-// with 503 + Retry-After, queued work flushes as drained markers, open
-// streams end with their terminal event — then the HTTP server waits
+// with 503 + Retry-After, queued work is handed back skipped, open
+// streams end with done — then the HTTP server waits
 // (up to drainTimeout) for those streams, and only then is the daemon
 // Closed. The daemon's dispatch loops (Run) are the caller's to start,
 // on a context that outlives ctx so in-flight dispatches finish.

@@ -23,16 +23,23 @@
 //     a worker up again after a failed run), so the fleet scales
 //     without restarting the daemon.
 //
-// The wire protocol, p5queue/v3, layers on p5remote/v1: jobs travel as
+// The daemon dispatches each job once. A job that comes back skipped
+// (a worker crash, an empty fleet, a per-job deadline, a drain) is
+// handed back to its client as a skipped result, and the client is
+// the one retry owner: every result is a pure function of its job, so
+// resubmitting is always safe, and only the client knows whether it
+// still needs the answer.
+//
+// The wire protocol, p5queue/v4, layers on p5remote/v1: jobs travel as
 // remote.WireJob (Job value + JobKey, recomputed and verified on both
 // sides, so schema drift between binaries fails loudly), and results
 // as remote.WireResult. A submission's response is a stream of
 // newline-delimited JSON events — header, one result per job as it
 // lands, then a trailer — so a client sees cache hits immediately
-// while novel jobs simulate. A daemon draining for shutdown ends each
-// open stream with a terminal "drained" event listing the unfinished
-// job keys; the client resubmits exactly those (service.Client does so
-// transparently, riding the warm cache).
+// while novel jobs simulate. A result event flagged skipped means "not
+// answered, resubmit": a raw client must submit those jobs again,
+// possibly to the daemon's successor after a restart. service.Client
+// does so transparently, riding the warm cache.
 package service
 
 import (
@@ -56,7 +63,12 @@ import (
 // Estimated flag, so a daemon serving it analytical answers would
 // silently degrade that client's data — hence the bump rather than an
 // additive field.
-const ProtocolVersion = "p5queue/v3"
+//
+// v4 removed the "drained" event: a drain hands queued jobs back as
+// skipped results followed by done, and the daemon no longer retries
+// skipped jobs itself. A v3 client would wait for a drained event that
+// never comes and take a daemon-side retry for granted, hence the bump.
+const ProtocolVersion = "p5queue/v4"
 
 // Endpoint paths served by the daemon.
 const (
@@ -102,15 +114,9 @@ const (
 	EventHeader = "header"
 	// EventResult carries one job's final result.
 	EventResult = "result"
-	// EventDone closes the stream after every accepted job resolved.
+	// EventDone closes the stream after every accepted job has its
+	// result event.
 	EventDone = "done"
-	// EventDrained closes the stream instead of EventDone when the
-	// daemon drained for shutdown before every job could run: its
-	// Unfinished field lists the keys that never resolved. Those jobs
-	// were not attempted and were not failed — the client resubmits
-	// exactly that set (to this daemon's successor, typically) and the
-	// warm cache plus singleflight make the resume cheap.
-	EventDrained = "drained"
 )
 
 // Event is one newline-delimited JSON line of a submit response.
@@ -122,16 +128,16 @@ type Event struct {
 	// produced immediate EventResult errors, e.g. key mismatches).
 	Accepted int `json:"accepted,omitempty"`
 	// Result fields: Index is the job's position in the submission,
-	// Result its outcome; Skipped marks a job that never ran (its
-	// Result.Err carries the cause).
+	// Result its outcome. Skipped marks a job the daemon did not answer
+	// (a failed or deadlined dispatch, or a drain; Result.Err carries
+	// the cause): it is the one "resubmit" signal, and the client that
+	// still wants the answer submits the job again. An unskipped error
+	// is the job's deterministic outcome and is final.
 	Index   int                `json:"index,omitempty"`
 	Result  *remote.WireResult `json:"result,omitempty"`
 	Skipped bool               `json:"skipped,omitempty"`
 	// Done fields: Err is a submission-level failure, if any.
 	Err string `json:"err,omitempty"`
-	// Drained fields: the job keys left unresolved when the daemon
-	// drained (sorted, so the stream tail is deterministic).
-	Unfinished []string `json:"unfinished,omitempty"`
 }
 
 // Stats is the StatsPath payload: a point-in-time snapshot of the
@@ -145,10 +151,11 @@ type Stats struct {
 	Tenants int `json:"tenants"`
 	// Rejected counts submissions turned away by admission control.
 	Rejected int64 `json:"rejected"`
-	// Drained counts jobs flushed as drained markers by shutdown.
+	// Drained counts queued jobs a drain handed back skipped.
 	Drained int64 `json:"drained"`
-	// Requeued counts dispatch attempts re-admitted after coming back
-	// skipped (backend crash, per-job deadline), capped per job.
+	// Requeued counts jobs a dispatch handed back skipped (backend
+	// crash, empty fleet, per-job deadline) for their clients to
+	// resubmit.
 	Requeued int64 `json:"requeued"`
 	// Engine lifetime counters (see engine.Stats for semantics).
 	Submitted int `json:"submitted"`
@@ -179,8 +186,10 @@ type Stats struct {
 // cached when the job dispatched) from a coalesced join (the client
 // piggybacked on another client's in-flight simulation), and counts
 // tier-0 estimates separately from both. Jobs is the sum of the five
-// result classes; Drained counts jobs flushed unresolved by shutdown
-// (not included in Jobs — they were never answered).
+// result classes; a job a dispatch handed back skipped counts under
+// Errors. Drained counts queued jobs a drain handed back skipped (not
+// included in Jobs — they were never dispatched). Past a fixed number
+// of client IDs, new IDs share one "(other clients)" row.
 type ClientStats struct {
 	Client    string `json:"client"`
 	Jobs      int64  `json:"jobs"`

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -55,11 +56,12 @@ func (b *skipBackend) RunProgress(ctx context.Context, jobs []engine.Job, _ func
 	return out, nil
 }
 
-// TestDrainEmitsUnfinished pins the v2 drain contract on the wire: a
-// daemon drained mid-batch finishes the in-flight dispatch, resolves
-// those jobs normally, and ends the stream with a terminal drained
-// event listing exactly the never-attempted keys, sorted.
-func TestDrainEmitsUnfinished(t *testing.T) {
+// TestDrainHandsBackQueuedJobs pins the drain contract on the wire: a
+// daemon drained mid-batch finishes the in-flight dispatch and
+// resolves those jobs normally, hands each never-dispatched job back
+// as a skipped result carrying the drain, and ends the stream with
+// done.
+func TestDrainHandsBackQueuedJobs(t *testing.T) {
 	cb := &countingBackend{gate: make(chan struct{}), started: make(chan struct{})}
 	d := New(engine.NewWith(0, nil, engine.WithBackend(cb)), nil,
 		Config{BatchMax: 2, Dispatchers: 1})
@@ -72,10 +74,8 @@ func TestDrainEmitsUnfinished(t *testing.T) {
 
 	jobs := svcJobs(5, 0)
 	req := SubmitRequest{Protocol: ProtocolVersion, Client: "c", Jobs: make([]remote.WireJob, len(jobs))}
-	keys := make([]string, len(jobs))
 	for i, j := range jobs {
-		keys[i] = engine.JobKey(j).String()
-		req.Jobs[i] = remote.WireJob{Key: keys[i], Job: j}
+		req.Jobs[i] = remote.WireJob{Key: engine.JobKey(j).String(), Job: j}
 	}
 	body, _ := json.Marshal(req)
 	resp, err := http.Post(srv.URL+SubmitPath, "application/json", bytes.NewReader(body))
@@ -88,46 +88,37 @@ func TestDrainEmitsUnfinished(t *testing.T) {
 	d.Drain()
 	close(cb.gate)
 
-	var results []Event
-	var drainedEv *Event
+	var answered, skipped []int
 	dec := json.NewDecoder(resp.Body)
-	for {
+	for done := false; !done; {
 		var ev Event
 		if err := dec.Decode(&ev); err != nil {
-			t.Fatalf("stream decode: %v (results so far: %d)", err, len(results))
+			t.Fatalf("stream decode: %v (events so far: %d answered, %d skipped)", err, len(answered), len(skipped))
 		}
-		if ev.Type == EventResult {
-			results = append(results, ev)
-			continue
-		}
-		if ev.Type == EventDrained {
-			drainedEv = &ev
-			break
-		}
-		if ev.Type == EventDone {
-			t.Fatal("stream ended with done, want a terminal drained event")
-		}
-	}
-	if len(results) != 2 {
-		t.Fatalf("%d results delivered before the drain, want the in-flight 2", len(results))
-	}
-	for _, ev := range results {
-		if ev.Skipped || ev.Result.Err != "" {
-			t.Fatalf("in-flight result = %+v, want clean completion", ev)
+		switch ev.Type {
+		case EventResult:
+			if ev.Skipped {
+				if !strings.Contains(ev.Result.Err, "draining") {
+					t.Errorf("drained job %d error = %q, want the drain named", ev.Index, ev.Result.Err)
+				}
+				skipped = append(skipped, ev.Index)
+			} else {
+				if ev.Result.Err != "" {
+					t.Fatalf("in-flight result = %+v, want clean completion", ev)
+				}
+				answered = append(answered, ev.Index)
+			}
+		case EventDone:
+			done = true
 		}
 	}
-	want := append([]string(nil), keys[2:]...)
-	sort.Strings(want)
-	if len(drainedEv.Unfinished) != len(want) {
-		t.Fatalf("drained event lists %v, want %v", drainedEv.Unfinished, want)
+	sort.Ints(answered)
+	sort.Ints(skipped)
+	if fmt.Sprint(answered) != "[0 1]" || fmt.Sprint(skipped) != "[2 3 4]" {
+		t.Fatalf("answered %v and skipped %v, want the in-flight [0 1] and the queued [2 3 4]", answered, skipped)
 	}
-	for i := range want {
-		if drainedEv.Unfinished[i] != want[i] {
-			t.Fatalf("drained event lists %v, want %v (sorted)", drainedEv.Unfinished, want)
-		}
-	}
-	if st := d.Stats(); st.Drained != 3 {
-		t.Fatalf("stats drained = %d, want 3", st.Drained)
+	if st := d.Stats(); st.Drained != 3 || st.Requeued != 0 {
+		t.Fatalf("stats drained = %d, requeued = %d; want 3 and 0", st.Drained, st.Requeued)
 	}
 
 	// A draining daemon refuses new work transiently: 503 + Retry-After.
@@ -144,9 +135,9 @@ func TestDrainEmitsUnfinished(t *testing.T) {
 
 // TestClientResumesAcrossRestart pins the end-to-end graceful-restart
 // story: a daemon drains mid-submission, the client receives the
-// in-flight results plus a drained event, and transparently resubmits
-// only the unfinished jobs to the restarted daemon — every job
-// resolves cleanly, nothing runs twice.
+// in-flight results plus the queued jobs handed back skipped, and
+// transparently resubmits only those jobs to the restarted daemon —
+// every job resolves cleanly, nothing runs twice.
 func TestClientResumesAcrossRestart(t *testing.T) {
 	cb1 := &countingBackend{gate: make(chan struct{}), started: make(chan struct{})}
 	d1 := New(engine.NewWith(0, nil, engine.WithBackend(cb1)), nil,
@@ -175,7 +166,7 @@ func TestClientResumesAcrossRestart(t *testing.T) {
 
 	<-cb1.started // first batch (2 jobs) in flight on daemon 1
 	d1.Drain()
-	close(cb1.gate) // in-flight batch completes; stream ends drained
+	close(cb1.gate) // in-flight batch completes; the rest come back skipped
 
 	// "Restart": a fresh daemon takes over the address.
 	cb2 := &countingBackend{}
@@ -232,10 +223,11 @@ func TestBackpressureCap(t *testing.T) {
 	}
 }
 
-// TestRequeueOnSkip pins the dispatch retry path: a batch the backend
-// skips (no error — e.g. a momentarily empty fleet) is requeued and
-// succeeds on a later attempt, invisibly to the client beyond latency,
-// and the retries are counted in stats.
+// TestRequeueOnSkip pins the hand-back path: a batch the backend skips
+// (no error — e.g. a momentarily empty fleet) goes back to the client
+// skipped, the client resubmits it, and the resubmission succeeds,
+// invisibly to the caller beyond latency. The hand-backs are counted
+// in stats.
 func TestRequeueOnSkip(t *testing.T) {
 	sb := &skipBackend{fail: 1}
 	d := New(engine.NewWith(0, nil, engine.WithBackend(sb)), nil, Config{Dispatchers: 1})
@@ -247,64 +239,49 @@ func TestRequeueOnSkip(t *testing.T) {
 	}
 	for i, r := range res {
 		if r.Err != nil || r.Skipped {
-			t.Fatalf("job %d = %+v, want success after requeue", i, r)
+			t.Fatalf("job %d = %+v, want success after the resubmission", i, r)
 		}
 	}
 	if st := d.Stats(); st.Requeued != 3 {
 		t.Fatalf("stats requeued = %d, want 3", st.Requeued)
 	}
+	sb.mu.Lock()
+	defer sb.mu.Unlock()
+	if sb.runs != 2 || sb.jobs != 3 {
+		t.Fatalf("backend ran %d batches, %d jobs succeeding; want 2 and 3", sb.runs, sb.jobs)
+	}
 }
 
-// TestDispatchAttemptCap pins the requeue bound: against a backend that
-// never stops skipping, each job resolves as a terminal error naming
-// the attempt budget — not a livelock, and not an endlessly resumable
-// skip.
+// TestDispatchAttemptCap pins the retry bound, which the client owns:
+// against a backend that never stops skipping, the daemon hands every
+// dispatch back skipped, and RunProgress gives up once its resume
+// budget is spent — not a livelock — naming the budget in the error
+// and returning the jobs skipped.
 func TestDispatchAttemptCap(t *testing.T) {
 	sb := &skipBackend{fail: 1 << 30}
 	d := New(engine.NewWith(0, nil, engine.WithBackend(sb)), nil, Config{Dispatchers: 1})
 	srv := startDaemon(t, d)
 
-	jobs := svcJobs(2, 0)
-	req := SubmitRequest{Protocol: ProtocolVersion, Client: "c", Jobs: make([]remote.WireJob, len(jobs))}
-	for i, j := range jobs {
-		req.Jobs[i] = remote.WireJob{Key: engine.JobKey(j).String(), Job: j}
+	cl := NewClient(srv.URL, WithClientID("c"))
+	cl.resumeAttempts = 1
+	res, err := cl.RunProgress(nil, svcJobs(2, 0), nil)
+	if err == nil || !strings.Contains(err.Error(), "without progress (budget 1;") {
+		t.Fatalf("run error = %v, want a give-up naming the resume budget", err)
 	}
-	body, _ := json.Marshal(req)
-	resp, err := http.Post(srv.URL+SubmitPath, "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-
-	dec := json.NewDecoder(resp.Body)
-	results := 0
-	for {
-		var ev Event
-		if err := dec.Decode(&ev); err != nil {
-			t.Fatalf("stream decode: %v", err)
-		}
-		if ev.Type == EventDone {
-			break
-		}
-		if ev.Type != EventResult {
-			continue
-		}
-		results++
-		if ev.Skipped {
-			t.Fatalf("capped job still marked skipped on the wire: %+v", ev)
-		}
-		if !strings.Contains(ev.Result.Err, "gave up after") {
-			t.Fatalf("capped job error = %q, want the attempt budget named", ev.Result.Err)
+	for i, r := range res {
+		if !r.Skipped || r.Err == nil {
+			t.Fatalf("job %d = %+v, want skipped with the give-up error", i, r)
 		}
 	}
-	if results != 2 {
-		t.Fatalf("%d results, want 2 terminal failures", results)
+	// The first submission and the one resume the budget allows.
+	if st := d.Stats(); st.Requeued != 4 {
+		t.Fatalf("stats requeued = %d, want 4 (2 jobs x 2 dispatches)", st.Requeued)
 	}
 }
 
 // TestJobTimeout pins the per-job execution deadline: a wedged dispatch
-// is cut off at the batch-scaled deadline, its jobs requeue, and the
-// retry succeeds once the backend behaves.
+// is cut off at the batch-scaled deadline, its jobs go back skipped,
+// and the client's resubmission succeeds once the backend behaves.
 func TestJobTimeout(t *testing.T) {
 	// The gated backend's first run blocks until ctx death (the gate
 	// never closes), then skips; subsequent runs succeed instantly.
@@ -320,7 +297,7 @@ func TestJobTimeout(t *testing.T) {
 	}
 	for i, r := range res {
 		if r.Err != nil || r.Skipped {
-			t.Fatalf("job %d = %+v, want success after the deadline requeue", i, r)
+			t.Fatalf("job %d = %+v, want success after the deadline hand-back", i, r)
 		}
 	}
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
@@ -425,9 +402,9 @@ func proxy(t *testing.T, target string, onRun func() bool) string {
 
 // TestWorkerFailureRetry: one of two registered workers fails every
 // chunk it takes (its health probe passes, its run requests die). The
-// fleet hands the failed chunk back skipped, the daemon requeues it
-// onto the survivor, and every result matches local execution byte
-// for byte.
+// fleet and then the daemon hand the failed chunk back skipped, the
+// client resubmits it, the survivor runs it, and every result matches
+// local execution byte for byte.
 func TestWorkerFailureRetry(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chip-level simulation")
@@ -470,14 +447,50 @@ func TestWorkerFailureRetry(t *testing.T) {
 			t.Fatalf("job %d failed despite a surviving worker: %v", i, got[i].Err)
 		}
 		if got[i].Pair != want[i].Pair {
-			t.Errorf("job %d: result differs from local after the requeue", i)
+			t.Errorf("job %d: result differs from local after the resubmission", i)
 		}
 	}
 	if st := d.Stats(); st.Requeued == 0 {
-		t.Error("the failed worker's jobs were not requeued by the daemon")
+		t.Error("the failed worker's jobs were not handed back by the daemon")
 	}
 	if eng.Stats().Remote.WorkerErrors == 0 {
 		t.Error("injected worker failure not counted in Remote.WorkerErrors")
+	}
+}
+
+// TestEmptyFleetRidesOutRegistration: a fleet daemon with no workers
+// takes a submission, and its only worker registers 1.5s later. Each
+// dispatch before then comes back skipped and goes back to the client,
+// whose resume loop outlasts the wait, so the job's result is the one
+// local execution gives.
+func TestEmptyFleetRidesOutRegistration(t *testing.T) {
+	jobs := chipJobs(t, 1)
+	want := engine.New(1).Run(nil, jobs)
+
+	fleet := remote.NewDynamic()
+	d := New(engine.NewWith(0, nil, engine.WithBackend(fleet)), fleet, Config{})
+	srv := startDaemon(t, d)
+	worker := httptest.NewServer(remote.NewServer(remote.ServerConfig{Workers: 1}).Handler())
+	t.Cleanup(worker.Close)
+	registered := make(chan error, 1)
+	go func() {
+		time.Sleep(1500 * time.Millisecond)
+		_, err := d.RegisterWorker(context.Background(), worker.URL)
+		registered <- err
+	}()
+
+	got, err := NewClient(srv.URL, WithClientID("c")).RunProgress(nil, jobs, nil)
+	if err := <-registered; err != nil {
+		t.Fatal(err)
+	}
+	if err != nil {
+		t.Fatalf("run against a fleet that was empty at submission: %v", err)
+	}
+	if got[0].Err != nil || got[0].Skipped || got[0].Pair != want[0].Pair {
+		t.Fatalf("job: err %v, skipped %v, pair %+v; want the local result %+v", got[0].Err, got[0].Skipped, got[0].Pair, want[0].Pair)
+	}
+	if st := d.Stats(); st.Requeued == 0 {
+		t.Error("no dispatch was handed back while the fleet was empty")
 	}
 }
 

@@ -26,20 +26,13 @@ var ErrClosed = errors.New("service: daemon closed")
 // work, so clients back off and retry instead of failing.
 var ErrDraining = errors.New("service: daemon draining for shutdown")
 
-// maxDispatchAttempts bounds how many times one job may be requeued
-// after its dispatch came back skipped (backend crash, injected skip,
-// per-job deadline). The cap turns a permanently failing fleet into a
-// per-job error after a bounded number of rounds instead of a requeue
-// livelock.
-const maxDispatchAttempts = 5
+// maxClientRows caps the named rows of the per-tenant breakdown. Client
+// IDs are untrusted, so an ID first seen past the cap shares one
+// aggregate row instead of growing the table for the daemon's lifetime.
+const maxClientRows = 1024
 
-// requeueBackoff is the pause a dispatcher takes before requeueing a
-// batch that came back entirely skipped — a backend-level failure such
-// as an empty fleet or one whose every worker failed. Without it a dead fleet would
-// burn through every job's attempt budget in microseconds; with it the
-// budget spans long enough for workers to re-register (heartbeats are
-// seconds apart).
-const requeueBackoff = 250 * time.Millisecond
+// otherClients names the aggregate row.
+const otherClients = "(other clients)"
 
 // Config tunes the daemon. The zero value selects the defaults.
 type Config struct {
@@ -63,8 +56,8 @@ type Config struct {
 	// JobTimeout bounds one job's execution in the dispatch path: a
 	// batch of n jobs runs under a deadline of n×JobTimeout, so one
 	// wedged job (or a hung worker) cannot pin a dispatcher forever —
-	// the batch's unfinished jobs come back skipped and re-enter the
-	// queue (up to the per-job attempt cap). 0 disables the deadline.
+	// the batch's unfinished jobs are handed back skipped for the client
+	// to resubmit. 0 disables the deadline.
 	JobTimeout time.Duration
 	// Logf, when non-nil, receives one line per notable daemon event.
 	Logf func(format string, args ...any)
@@ -88,37 +81,30 @@ func (c Config) withDefaults() Config {
 
 // item is one queued job plus its delivery route.
 type item struct {
-	job      engine.Job
-	mode     engine.EstimateMode // tier-0 policy resolved at admission
-	idx      int                 // position within the submission
-	client   string              // tenant queue the item (re-)enters
-	attempts int                 // dispatch attempts so far
-	sub      *submission
+	job    engine.Job
+	mode   engine.EstimateMode // tier-0 policy resolved at admission
+	idx    int                 // position within the submission
+	client string              // tenant queue the item enters
+	sub    *submission
 }
 
-// indexed is one delivered outcome: a result, or a drained marker for
-// a job flushed by shutdown (never attempted, never failed).
+// indexed is one delivered outcome at its submission index.
 type indexed struct {
-	idx     int
-	res     engine.Result
-	drained bool
+	idx int
+	res engine.Result
 }
 
 // submission is one client batch in flight through the queue. Its
 // channel is buffered to the job count, so dispatchers never block on
 // a slow or departed reader — a disconnected client's jobs still run
-// and warm the cache. Each index receives exactly one terminal event
-// (a result or a drained marker); requeued attempts deliver nothing.
+// and warm the cache. Each index receives exactly one result: the
+// dispatch's outcome, or a skipped hand-back when a drain flushed it.
 type submission struct {
 	ch chan indexed
 }
 
 func (s *submission) deliver(idx int, r engine.Result) {
 	s.ch <- indexed{idx: idx, res: r}
-}
-
-func (s *submission) deliverDrained(idx int) {
-	s.ch <- indexed{idx: idx, drained: true}
 }
 
 // tenantQueue is one client's FIFO of queued items.
@@ -252,9 +238,9 @@ func (d *Daemon) nextBatch(ctx context.Context) []item {
 // Run executes the dispatch loops until ctx is cancelled and the queue
 // has drained. It blocks; a daemon serves batches only while Run is
 // running. Give Run a context that outlives the shutdown signal (p5d
-// does): the graceful path is Drain — flush queued work as drained
-// markers, finish in-flight dispatches — then Close; cancelling Run's
-// ctx mid-dispatch instead resolves in-flight work as Skipped.
+// does): the graceful path is Drain — hand queued work back skipped,
+// finish in-flight dispatches — then Close; cancelling Run's ctx
+// mid-dispatch instead resolves in-flight work as Skipped too.
 func (d *Daemon) Run(ctx context.Context) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -286,11 +272,12 @@ func (d *Daemon) Run(ctx context.Context) {
 	wg.Wait()
 }
 
-// dispatch runs one batch through the engine, delivering completed
-// results live and routing skipped ones (backend crash, injected skip,
-// deadline) back through the queue for another attempt. Each item
-// carries its own tier-0 mode, so one batch can mix estimate-accepting
-// and exact-only tenants without splitting.
+// dispatch runs one batch through the engine once, delivering every
+// result as it lands. A skipped result (backend crash, injected skip,
+// deadline, empty fleet) is handed back as it is: the client that asked
+// is the one retry owner, and it resubmits the job. Each item carries
+// its own tier-0 mode, so one batch can mix estimate-accepting and
+// exact-only tenants without splitting.
 func (d *Daemon) dispatch(ctx context.Context, batch []item) {
 	jobs := make([]engine.Job, len(batch))
 	modes := make([]engine.EstimateMode, len(batch))
@@ -307,110 +294,32 @@ func (d *Daemon) dispatch(ctx context.Context, batch []item) {
 	if d.cfg.JobTimeout > 0 {
 		runCtx, cancel = context.WithTimeout(ctx, time.Duration(len(batch))*d.cfg.JobTimeout)
 	}
-	out := d.eng.RunEstimate(runCtx, jobs, modes, func(i int, r engine.Result) {
+	defer cancel()
+	skipped := 0
+	d.eng.RunEstimate(runCtx, jobs, modes, func(i int, r engine.Result) {
 		if r.Skipped {
-			return // handled below once the batch settles
+			skipped++
+			d.mu.Lock()
+			d.requeued++
+			d.mu.Unlock()
 		}
 		batch[i].sub.deliver(batch[i].idx, r)
 		d.countResult(batch[i].client, r)
 	})
-	cancel()
-
-	skipped := 0
-	for _, r := range out {
-		if r.Skipped {
-			skipped++
-		}
+	if skipped > 0 {
+		d.logf("service: handed %d of %d dispatched jobs back skipped for resubmission", skipped, len(batch))
 	}
-	if skipped == 0 {
-		return
-	}
-	if skipped == len(batch) && !d.isDraining() && ctx.Err() == nil {
-		// The whole batch failed at the backend level (empty fleet,
-		// every worker failed). Pause before requeueing so the attempt
-		// budget spans worker re-registration instead of burning out in
-		// a hot loop.
-		time.Sleep(requeueBackoff)
-	}
-	requeued := 0
-	for i, r := range out {
-		if !r.Skipped {
-			continue
-		}
-		it := batch[i]
-		it.attempts++
-		switch d.requeue(it) {
-		case requeueOK:
-			requeued++
-		case requeueDrained:
-			it.sub.deliverDrained(it.idx)
-		case requeueCapped:
-			cause := r.Err
-			if cause == nil {
-				cause = errors.New("dispatch skipped")
-			}
-			r.Err = fmt.Errorf("service: job gave up after %d dispatch attempts: %w", it.attempts, cause)
-			// No longer Skipped on the wire: the daemon *did* attempt it,
-			// repeatedly. Marking it terminal stops the client from
-			// treating the exhausted job as resumable and resubmitting a
-			// lost cause forever.
-			r.Skipped = false
-			it.sub.deliver(it.idx, r)
-			d.countResult(it.client, r)
-		case requeueClosed:
-			it.sub.deliver(it.idx, r)
-			d.countResult(it.client, r)
-		}
-	}
-	if requeued > 0 {
-		d.logf("service: requeued %d of %d skipped jobs for another attempt", requeued, skipped)
-	}
-}
-
-// requeueOutcome is requeue's verdict for one skipped item.
-type requeueOutcome int
-
-const (
-	requeueOK      requeueOutcome = iota // re-admitted for another attempt
-	requeueDrained                       // daemon draining: flush as a drained marker
-	requeueClosed                        // daemon closed: deliver the skipped result as-is
-	requeueCapped                        // attempt budget exhausted: deliver as a failure
-)
-
-// requeue re-admits a skipped item to its tenant queue, bypassing the
-// MaxQueue bound (the item was admitted once already; bouncing it now
-// would turn a transient backend failure into a lost job).
-func (d *Daemon) requeue(it item) requeueOutcome {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.draining {
-		d.drained++
-		d.clientStats(it.client).Drained++
-		return requeueDrained
-	}
-	if d.closed {
-		return requeueClosed
-	}
-	if it.attempts >= maxDispatchAttempts {
-		return requeueCapped
-	}
-	q := d.queues[it.client]
-	if q == nil {
-		q = &tenantQueue{}
-		d.queues[it.client] = q
-		d.order = append(d.order, it.client)
-	}
-	q.items = append(q.items, it)
-	d.depth++
-	d.requeued++
-	d.cond.Broadcast()
-	return requeueOK
 }
 
 // clientStats returns (creating if needed) the named tenant's counter
-// row. The caller must hold d.mu.
+// row, or the aggregate row once maxClientRows tenants have one. The
+// caller must hold d.mu.
 func (d *Daemon) clientStats(client string) *ClientStats {
 	cs := d.clients[client]
+	if cs == nil && len(d.clients) >= maxClientRows {
+		client = otherClients
+		cs = d.clients[client]
+	}
 	if cs == nil {
 		cs = &ClientStats{Client: client}
 		d.clients[client] = cs
@@ -442,20 +351,13 @@ func (d *Daemon) countResult(client string, r engine.Result) {
 	}
 }
 
-func (d *Daemon) isDraining() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.draining
-}
-
 // Drain moves the daemon into shutdown: admission stops (ErrDraining,
 // which the HTTP layer maps to 503 + Retry-After), and every queued
-// item is flushed to its submission as a drained marker — the open
-// streams end with a terminal drained event listing unfinished keys
-// instead of resolving queued work as skipped. In-flight dispatches
-// are not interrupted; they deliver normally (skipped stragglers from
-// them flush as drained markers too). Idempotent; Close still follows
-// to stop the dispatch loops.
+// item is handed back to its submission as a skipped result carrying
+// ErrDraining, so the open streams end with done and their clients
+// resubmit exactly those jobs, typically to this daemon's successor.
+// In-flight dispatches are not interrupted; they deliver normally.
+// Idempotent; Close still follows to stop the dispatch loops.
 func (d *Daemon) Drain() {
 	d.mu.Lock()
 	if d.draining {
@@ -478,10 +380,10 @@ func (d *Daemon) Drain() {
 	d.mu.Unlock()
 	d.cond.Broadcast()
 	for _, it := range flushed {
-		it.sub.deliverDrained(it.idx)
+		it.sub.deliver(it.idx, engine.Result{Job: it.job, Err: ErrDraining, Skipped: true})
 	}
 	if len(flushed) > 0 {
-		d.logf("service: drain: flushed %d queued jobs as drained", len(flushed))
+		d.logf("service: drain: handed %d queued jobs back skipped", len(flushed))
 	}
 }
 

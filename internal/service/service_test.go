@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -16,6 +17,7 @@ import (
 
 	"power5prio/internal/engine"
 	"power5prio/internal/fame"
+	"power5prio/internal/mem"
 	"power5prio/internal/remote"
 )
 
@@ -667,5 +669,69 @@ func TestRegisterWorkerRetriesFirstAnnounce(t *testing.T) {
 	}
 	if n := refused.Load(); n != 2 {
 		t.Fatalf("%d registrations refused before joining, want 2", n)
+	}
+}
+
+// TestHugeL2JobIsAJobError: a well-formed job whose L2 cannot be
+// allocated (it passes config validation, then panics building the
+// chip) is answered on a local-engine daemon with a final per-job
+// error, not a skip and not a dead process, and the same daemon then
+// answers a normal job.
+func TestHugeL2JobIsAJobError(t *testing.T) {
+	d := New(engine.NewWith(1, nil), nil, Config{})
+	srv := startDaemon(t, d)
+
+	huge := chipJobs(t, 1)[0]
+	huge.Chip.Mem.L2 = mem.CacheConfig{SizeBytes: 1 << 62, Ways: 1, LineBytes: 128}
+	req := SubmitRequest{Protocol: ProtocolVersion, Client: "c", Jobs: []remote.WireJob{{Key: engine.JobKey(huge).String(), Job: huge}}}
+	body, _ := json.Marshal(req)
+	resp, err := http.Post(srv.URL+SubmitPath, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var result *Event
+	dec := json.NewDecoder(resp.Body)
+	for {
+		var ev Event
+		if err := dec.Decode(&ev); err != nil {
+			t.Fatalf("stream decode: %v", err)
+		}
+		if ev.Type == EventDone {
+			break
+		}
+		if ev.Type == EventResult {
+			result = &ev
+		}
+	}
+	if result == nil || result.Skipped || !strings.Contains(result.Result.Err, "panic") {
+		t.Fatalf("huge-L2 job event = %+v, want a final per-job error naming the panic", result)
+	}
+
+	res, err := NewClient(srv.URL, WithClientID("c")).RunProgress(nil, chipJobs(t, 1), nil)
+	if err != nil || res[0].Err != nil || res[0].Pair.TotalIPC == 0 {
+		t.Fatalf("normal job after the huge one = %+v (%v), want a clean measurement", res[0], err)
+	}
+}
+
+// TestClientRowsCapped: the per-tenant breakdown keeps at most
+// maxClientRows named rows; client IDs first seen past the cap share
+// one aggregate row, and no delivery goes uncounted.
+func TestClientRowsCapped(t *testing.T) {
+	d := New(engine.NewWith(0, nil, engine.WithBackend(&countingBackend{})), nil, Config{})
+	const n = maxClientRows + 10
+	for i := 0; i < n; i++ {
+		d.countResult(fmt.Sprintf("client-%d", i), engine.Result{})
+	}
+	st := d.Stats()
+	if len(st.Clients) > maxClientRows+1 {
+		t.Fatalf("%d client rows after %d distinct IDs, want at most %d", len(st.Clients), n, maxClientRows+1)
+	}
+	var jobs int64
+	for _, cs := range st.Clients {
+		jobs += cs.Jobs
+	}
+	if jobs != n {
+		t.Fatalf("client rows count %d jobs, want %d", jobs, n)
 	}
 }

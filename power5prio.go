@@ -317,11 +317,12 @@ func WithBackend(b Backend) Option { return func(s *System) { s.backend = b } }
 
 // WithService routes the System's simulations through a p5d measurement
 // daemon at addr (host:port, or a full http:// URL) speaking the
-// p5queue/v3 protocol. The daemon is shared: it queues submissions from
+// p5queue/v4 protocol. The daemon is shared: it queues submissions from
 // many concurrent clients with per-client fair scheduling, deduplicates
 // identical in-flight jobs across clients, answers repeats from its own
-// cache tiers, and runs the rest on its worker fleet, retrying jobs a
-// failed worker dropped. The System's local cache tiers stay in front,
+// cache tiers, and runs the rest on its worker fleet; jobs a failed
+// worker dropped come back skipped and the System's client resubmits
+// them. The System's local cache tiers stay in front,
 // so only locally-unknown measurements travel. Results are
 // byte-identical to local execution. Tier 0 runs in the daemon too:
 // each spec's estimate mode travels with it, so a spec that accepts
