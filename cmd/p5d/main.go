@@ -1,5 +1,5 @@
 // Command p5d is the long-running measurement daemon: many concurrent
-// clients (p5exp/p5sim -submit, power5prio.WithService, or raw p5queue/v4
+// clients (p5exp/p5sim -submit, power5prio.WithService, or raw p5queue/v5
 // HTTP) stream job submissions to one shared engine, with admission
 // control, weighted round-robin fairness across client IDs, and
 // cross-client deduplication — identical jobs from different clients

@@ -17,7 +17,6 @@ import (
 
 	"power5prio/internal/engine"
 	"power5prio/internal/fame"
-	"power5prio/internal/remote"
 )
 
 // DefaultSubmitChunk is the largest job batch one submit request
@@ -391,10 +390,11 @@ func (c *Client) submitChunk(ctx context.Context, jobs []engine.Job, spec *Estim
 // *errBackpressure and *errResumable are retryable, everything else is
 // final.
 func (c *Client) trySubmit(ctx context.Context, jobs []engine.Job, spec *EstimateSpec, pending []int, report func(int, engine.Result)) ([]int, error) {
-	req := SubmitRequest{Protocol: ProtocolVersion, Client: c.id, Estimate: spec, Jobs: make([]remote.WireJob, len(pending))}
+	subset := make([]engine.Job, len(pending))
 	for i, k := range pending {
-		req.Jobs[i] = remote.WireJob{Key: engine.JobKey(jobs[k]).String(), Job: jobs[k]}
+		subset[i] = jobs[k]
 	}
+	req := newSubmitRequest(c.id, spec, subset)
 	body, err := json.Marshal(req)
 	if err != nil {
 		return pending, fmt.Errorf("encode submit request: %w", err)
@@ -527,6 +527,11 @@ func (c *Client) trySubmit(ctx context.Context, jobs []engine.Job, spec *Estimat
 			}
 			report(pending[k], r)
 		case EventDone:
+			// Read the body to its end (the chunked trailer), so the
+			// transport reuses the connection for the next submission
+			// instead of closing it. Best effort: a failed read only
+			// costs that reuse.
+			_, _ = io.Copy(io.Discard, io.LimitReader(hresp.Body, 512))
 			if ev.Err != "" {
 				return unfinished(), fmt.Errorf("daemon reported: %s", ev.Err)
 			}

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"power5prio/internal/engine"
-	"power5prio/internal/remote"
 )
 
 // FuzzSubmitRequest drives the daemon's submit endpoint with arbitrary
@@ -20,35 +19,33 @@ import (
 // event; and no exchange may leave queued jobs or a tenant behind.
 func FuzzSubmitRequest(f *testing.F) {
 	const maxQueue = 4
-	wire := func(jobs []engine.Job) []remote.WireJob {
-		out := make([]remote.WireJob, len(jobs))
-		for i, j := range jobs {
-			out[i] = remote.WireJob{Key: engine.JobKey(j).String(), Job: j}
-		}
-		return out
+	body := func(req SubmitRequest) []byte { return mustJSON(f, req) }
+	withProtocol := func(req SubmitRequest, protocol string) SubmitRequest {
+		req.Protocol = protocol
+		return req
 	}
-	body := func(req SubmitRequest) []byte {
-		b, err := json.Marshal(req)
-		if err != nil {
-			f.Fatal(err)
-		}
-		return b
-	}
-	valid := body(SubmitRequest{Protocol: ProtocolVersion, Client: "c", Jobs: wire(svcJobs(2, 0))})
-	drifted := wire(svcJobs(1, 10))
-	drifted[0].Key = "sha256:0000"
+	valid := body(newSubmitRequest("c", nil, svcJobs(2, 0)))
+	drifted := newSubmitRequest("d", nil, svcJobs(1, 10))
+	drifted.Jobs[0].Key = "sha256:0000"
+	outOfRange := newSubmitRequest("i", nil, svcJobs(2, 50))
+	outOfRange.Jobs[1].Profile = len(outOfRange.Profiles)
+	negative := newSubmitRequest("j", nil, svcJobs(2, 60))
+	negative.Jobs[0].Profile = -1
 	for _, seed := range [][]byte{
 		valid,
-		body(SubmitRequest{Protocol: ProtocolVersion, Client: "d", Jobs: drifted}),
-		body(SubmitRequest{Protocol: "p5queue/v0", Client: "c", Jobs: wire(svcJobs(1, 20))}),
+		body(drifted),
+		body(withProtocol(newSubmitRequest("c", nil, svcJobs(1, 20)), "p5queue/v0")),
 		valid[:len(valid)/2],
 		[]byte(`{}`),
-		body(SubmitRequest{Protocol: ProtocolVersion, Client: "e"}),
-		body(SubmitRequest{Protocol: ProtocolVersion, Client: "f", Jobs: wire(svcJobs(maxQueue+1, 30))}),
+		body(newSubmitRequest("e", nil, nil)),
+		body(newSubmitRequest("f", nil, svcJobs(maxQueue+1, 30))),
 		// A v3 client's body: the protocol before skipped results became
 		// the one resubmit signal.
-		body(SubmitRequest{Protocol: "p5queue/v3", Client: "g", Jobs: wire(svcJobs(1, 40))}),
-		[]byte(`{"protocol":"p5queue/v4","client":"h","estimate":{"always":true},"jobs":[]}`),
+		body(withProtocol(newSubmitRequest("g", nil, svcJobs(1, 40)), "p5queue/v3")),
+		// A v4 client's body: every job a full WireJob, no profile table.
+		[]byte(`{"protocol":"p5queue/v4","client":"h","estimate":{"always":true},"jobs":[{"key":"sha256:0000","job":{"IterScale":1}}]}`),
+		body(outOfRange),
+		body(negative),
 	} {
 		f.Add(seed)
 	}
@@ -72,7 +69,7 @@ func FuzzSubmitRequest(f *testing.F) {
 		}()
 		switch rec.Code {
 		case http.StatusOK:
-		case http.StatusBadRequest, http.StatusTooManyRequests:
+		case http.StatusBadRequest, http.StatusTooManyRequests, http.StatusRequestEntityTooLarge:
 			return
 		default:
 			t.Fatalf("status %d for body %.200q", rec.Code, body)

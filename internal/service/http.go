@@ -79,23 +79,44 @@ func (d *Daemon) handleRegister(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(resp)
 }
 
+// maxJobBytes is the submit body allowance per admissible job: a
+// submission larger than MaxQueue of them could never be admitted, so
+// its body is refused with 413 before it is buffered. A v5 row takes
+// about 250 bytes and a profile about 900, so even a submission whose
+// every job has its own profile fits.
+const maxJobBytes = 4 << 10
+
 // handleSubmit admits a job batch and streams its results as NDJSON
 // events. Jobs whose key does not match a recomputation from the
-// decoded value (schema drift between binaries) fail immediately and
-// are never queued; a submission that would overflow the queue is
-// rejected wholesale with 429 and a Retry-After hint.
+// rebuilt value (schema drift between binaries), or whose row names a
+// profile the table lacks, fail immediately and are never queued; a
+// submission that would overflow the queue is rejected wholesale with
+// 429 and a Retry-After hint, and a body too large to ever be admitted
+// with 413.
 func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "submit is POST", http.StatusMethodNotAllowed)
 		return
 	}
 	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	body := http.MaxBytesReader(w, r.Body, int64(d.cfg.MaxQueue)*maxJobBytes)
+	if err := json.NewDecoder(body).Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			http.Error(w, fmt.Sprintf("submit body exceeds %d bytes (%d per admissible job)", tooBig.Limit, maxJobBytes),
+				http.StatusRequestEntityTooLarge)
+			return
+		}
 		http.Error(w, fmt.Sprintf("bad submit request: %v", err), http.StatusBadRequest)
 		return
 	}
 	if err := checkProtocol(req.Protocol); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	if len(req.Profiles) > len(req.Jobs) {
+		http.Error(w, fmt.Sprintf("bad submit request: %d profiles for %d jobs", len(req.Profiles), len(req.Jobs)),
+			http.StatusBadRequest)
 		return
 	}
 
@@ -105,17 +126,22 @@ func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var runnable []engine.Job
 	var runnableIdx []int
 	var runnableKey []string
-	for i, wj := range req.Jobs {
-		if key := engine.JobKey(wj.Job).String(); key != wj.Key {
-			res := wireResult(wj.Key, engine.Result{Err: fmt.Errorf(
-				"service: job key mismatch: client sent %s, daemon computes %s (incompatible binaries or corrupted request)",
-				wj.Key, key)})
+	for i, row := range req.Jobs {
+		job, err := req.job(i)
+		if err == nil {
+			if key := engine.JobKey(job).String(); key != row.Key {
+				err = fmt.Errorf("service: job key mismatch: client sent %s, daemon computes %s (incompatible binaries or corrupted request)",
+					row.Key, key)
+			}
+		}
+		if err != nil {
+			res := wireResult(row.Key, engine.Result{Err: err})
 			rejected = append(rejected, Event{Type: EventResult, Index: i, Result: &res})
 			continue
 		}
-		runnable = append(runnable, wj.Job)
+		runnable = append(runnable, job)
 		runnableIdx = append(runnableIdx, i)
-		runnableKey = append(runnableKey, wj.Key)
+		runnableKey = append(runnableKey, row.Key)
 	}
 
 	// Resolve the submission's tier-0 policy: an explicit spec wins
@@ -148,32 +174,35 @@ func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// Events are flushed per burst, not per event: a result is written
+	// out only when no further one is already waiting, and a header
+	// whose results are not ready yet goes out alone, so the client's
+	// idle watchdog starts from it.
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
-	emit := func(ev Event) bool {
-		if err := enc.Encode(ev); err != nil {
-			return false
-		}
+	flush := func() {
 		if flusher != nil {
 			flusher.Flush()
 		}
-		return true
 	}
 
-	if !emit(Event{Type: EventHeader, Protocol: ProtocolVersion, Accepted: len(runnable)}) {
+	if enc.Encode(Event{Type: EventHeader, Protocol: ProtocolVersion, Accepted: len(runnable)}) != nil {
 		return
 	}
 	for _, ev := range rejected {
-		if !emit(ev) {
+		if enc.Encode(ev) != nil {
 			return
 		}
 	}
 	for served := 0; served < len(runnable); served++ {
+		if len(sub.ch) == 0 {
+			flush()
+		}
 		select {
 		case ir := <-sub.ch:
 			res := wireResult(runnableKey[ir.idx], ir.res)
-			if !emit(Event{Type: EventResult, Index: runnableIdx[ir.idx], Result: &res, Skipped: ir.res.Skipped}) {
+			if enc.Encode(Event{Type: EventResult, Index: runnableIdx[ir.idx], Result: &res, Skipped: ir.res.Skipped}) != nil {
 				return
 			}
 		case <-r.Context().Done():
@@ -182,7 +211,9 @@ func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	emit(Event{Type: EventDone})
+	if enc.Encode(Event{Type: EventDone}) == nil {
+		flush()
+	}
 }
 
 // wireResult renders an engine result for the stream.

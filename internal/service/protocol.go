@@ -30,22 +30,32 @@
 // resubmitting is always safe, and only the client knows whether it
 // still needs the answer.
 //
-// The wire protocol, p5queue/v4, layers on p5remote/v1: jobs travel as
-// remote.WireJob (Job value + JobKey, recomputed and verified on both
-// sides, so schema drift between binaries fails loudly), and results
-// as remote.WireResult. A submission's response is a stream of
-// newline-delimited JSON events — header, one result per job as it
-// lands, then a trailer — so a client sees cache hits immediately
-// while novel jobs simulate. A result event flagged skipped means "not
-// answered, resubmit": a raw client must submit those jobs again,
-// possibly to the daemon's successor after a restart. service.Client
-// does so transparently, riding the warm cache.
+// The wire protocol, p5queue/v5, layers on p5remote/v1. A submission
+// sends the fields its jobs share (privilege, iteration scale, chip and
+// FAME options: one Profile for a whole priority sweep) once, and each
+// job as a row of what varies: its two workloads and priority levels,
+// the index of its profile, and its JobKey. The daemon rebuilds every
+// job from its row and profile and recomputes the key, so schema drift
+// between binaries fails loudly. Results travel as remote.WireResult.
+// A submission's response is a stream of newline-delimited JSON events
+// — header, one result per job as it lands, then a trailer — so a
+// client sees cache hits immediately while novel jobs simulate. A
+// result event flagged skipped means "not answered, resubmit": a raw
+// client must submit those jobs again, possibly to the daemon's
+// successor after a restart. service.Client does so transparently,
+// riding the warm cache.
 package service
 
 import (
 	"fmt"
+	"math"
 
+	"power5prio/internal/core"
+	"power5prio/internal/engine"
+	"power5prio/internal/fame"
+	"power5prio/internal/prio"
 	"power5prio/internal/remote"
+	"power5prio/internal/workload"
 )
 
 // ProtocolVersion names the queue protocol. Client and daemon must
@@ -68,7 +78,11 @@ import (
 // skipped results followed by done, and the daemon no longer retries
 // skipped jobs itself. A v3 client would wait for a drained event that
 // never comes and take a daemon-side retry for granted, hence the bump.
-const ProtocolVersion = "p5queue/v4"
+//
+// v5 replaced the submit body's remote.WireJob list with a Profile table
+// plus JobRows, so a sweep's shared chip and FAME options travel once
+// instead of once per job. A v4 body has no profiles, hence the bump.
+const ProtocolVersion = "p5queue/v5"
 
 // Endpoint paths served by the daemon.
 const (
@@ -89,12 +103,84 @@ const (
 // the tenant for fair scheduling; submissions with the same Client
 // share one round-robin turn. Estimate, when present, overrides the
 // daemon's default tier-0 policy for this submission's jobs; absent
-// means "whatever the daemon was started with".
+// means "whatever the daemon was started with". Each of Jobs names
+// its Profile by index, and a table may not hold more profiles than
+// there are jobs.
 type SubmitRequest struct {
-	Protocol string           `json:"protocol"`
-	Client   string           `json:"client"`
-	Estimate *EstimateSpec    `json:"estimate,omitempty"`
-	Jobs     []remote.WireJob `json:"jobs"`
+	Protocol string        `json:"protocol"`
+	Client   string        `json:"client"`
+	Estimate *EstimateSpec `json:"estimate,omitempty"`
+	Profiles []Profile     `json:"profiles"`
+	Jobs     []JobRow      `json:"jobs"`
+}
+
+// Profile is the part of an engine.Job that a sweep's jobs share.
+type Profile struct {
+	Privilege prio.Privilege `json:"privilege"`
+	IterScale float64        `json:"iter_scale"`
+	Chip      core.Config    `json:"chip"`
+	Fame      fame.Options   `json:"fame"`
+}
+
+// JobRow is one job of a submission: its JobKey, the index of its
+// Profile in the submission's table, and the fields that vary across a
+// sweep.
+type JobRow struct {
+	Key       string       `json:"key"`
+	Profile   int          `json:"profile"`
+	Primary   workload.Ref `json:"primary"`
+	Secondary workload.Ref `json:"secondary"`
+	PrioP     prio.Level   `json:"prio_p"`
+	PrioS     prio.Level   `json:"prio_s"`
+}
+
+// newSubmitRequest encodes jobs as a submission: each job's shared
+// fields join the profile table unless an earlier job's profile is the
+// same, and each job becomes a row keyed by its JobKey. A linear scan
+// of the table suffices: a submission almost always has one profile.
+func newSubmitRequest(client string, spec *EstimateSpec, jobs []engine.Job) SubmitRequest {
+	req := SubmitRequest{Protocol: ProtocolVersion, Client: client, Estimate: spec, Jobs: make([]JobRow, len(jobs))}
+	for i, j := range jobs {
+		p := Profile{Privilege: j.Privilege, IterScale: j.IterScale, Chip: j.Chip, Fame: j.Fame}
+		idx := len(req.Profiles)
+		for k := range req.Profiles {
+			if sameProfile(req.Profiles[k], p) {
+				idx = k
+				break
+			}
+		}
+		if idx == len(req.Profiles) {
+			req.Profiles = append(req.Profiles, p)
+		}
+		req.Jobs[i] = JobRow{
+			Key: engine.JobKey(j).String(), Profile: idx,
+			Primary: j.Primary, Secondary: j.Secondary, PrioP: j.PrioP, PrioS: j.PrioS,
+		}
+	}
+	return req
+}
+
+// sameProfile is == made exact for the JobKey, which hashes float
+// bits: 0 and -0 compare equal but key differently. IterScale and
+// Fame.MAIV are a profile's only float fields.
+func sameProfile(a, b Profile) bool {
+	return a == b &&
+		math.Float64bits(a.IterScale) == math.Float64bits(b.IterScale) &&
+		math.Float64bits(a.Fame.MAIV) == math.Float64bits(b.Fame.MAIV)
+}
+
+// job rebuilds the engine.Job of row i, or fails when the row names a
+// profile the table does not have.
+func (r *SubmitRequest) job(i int) (engine.Job, error) {
+	row := r.Jobs[i]
+	if row.Profile < 0 || row.Profile >= len(r.Profiles) {
+		return engine.Job{}, fmt.Errorf("service: job %d names profile %d of a %d-profile table", i, row.Profile, len(r.Profiles))
+	}
+	p := r.Profiles[row.Profile]
+	return engine.Job{
+		Primary: row.Primary, Secondary: row.Secondary, PrioP: row.PrioP, PrioS: row.PrioS,
+		Privilege: p.Privilege, IterScale: p.IterScale, Chip: p.Chip, Fame: p.Fame,
+	}, nil
 }
 
 // EstimateSpec is a submission's tier-0 policy. Always serves every

@@ -73,11 +73,7 @@ func TestDrainHandsBackQueuedJobs(t *testing.T) {
 	defer d.Close()
 
 	jobs := svcJobs(5, 0)
-	req := SubmitRequest{Protocol: ProtocolVersion, Client: "c", Jobs: make([]remote.WireJob, len(jobs))}
-	for i, j := range jobs {
-		req.Jobs[i] = remote.WireJob{Key: engine.JobKey(j).String(), Job: j}
-	}
-	body, _ := json.Marshal(req)
+	body, _ := json.Marshal(newSubmitRequest("c", nil, jobs))
 	resp, err := http.Post(srv.URL+SubmitPath, "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)

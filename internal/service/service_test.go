@@ -136,10 +136,11 @@ func TestAdmissionControl(t *testing.T) {
 func TestNoRunnableJobsNoTenant(t *testing.T) {
 	d := New(engine.NewWith(0, nil, engine.WithBackend(&countingBackend{})), nil, Config{})
 	srv := startDaemon(t, d)
-	drifted := []remote.WireJob{{Key: "sha256:0000", Job: svcJobs(1, 0)[0]}}
 	for _, client := range []string{"a", "b", "c"} {
-		for _, jobs := range [][]remote.WireJob{nil, drifted} {
-			body, _ := json.Marshal(SubmitRequest{Protocol: ProtocolVersion, Client: client, Jobs: jobs})
+		drifted := newSubmitRequest(client, nil, svcJobs(1, 0))
+		drifted.Jobs[0].Key = "sha256:0000"
+		for _, req := range []SubmitRequest{newSubmitRequest(client, nil, nil), drifted} {
+			body, _ := json.Marshal(req)
 			resp, err := http.Post(srv.URL+SubmitPath, "application/json", bytes.NewReader(body))
 			if err != nil {
 				t.Fatal(err)
@@ -147,7 +148,7 @@ func TestNoRunnableJobsNoTenant(t *testing.T) {
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
 			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("client %s, %d jobs: status %s, want 200", client, len(jobs), resp.Status)
+				t.Fatalf("client %s, %d jobs: status %s, want 200", client, len(req.Jobs), resp.Status)
 			}
 		}
 	}
@@ -498,11 +499,7 @@ func TestBackpressure(t *testing.T) {
 	srv := httptest.NewServer(d.Handler())
 	defer srv.Close()
 
-	req := SubmitRequest{Protocol: ProtocolVersion, Client: "c", Jobs: make([]remote.WireJob, 2)}
-	for i, j := range svcJobs(2, 0) {
-		req.Jobs[i] = remote.WireJob{Key: engine.JobKey(j).String(), Job: j}
-	}
-	body, _ := json.Marshal(req)
+	body, _ := json.Marshal(newSubmitRequest("c", nil, svcJobs(2, 0)))
 	resp, err := http.Post(srv.URL+SubmitPath, "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -541,7 +538,9 @@ func TestSubmitRejectsDrift(t *testing.T) {
 	srv := startDaemon(t, d)
 
 	// Protocol mismatch: rejected outright.
-	body, _ := json.Marshal(SubmitRequest{Protocol: "p5queue/v0", Client: "c"})
+	req := newSubmitRequest("c", nil, nil)
+	req.Protocol = "p5queue/v0"
+	body, _ := json.Marshal(req)
 	resp, err := http.Post(srv.URL+SubmitPath, "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -553,11 +552,8 @@ func TestSubmitRejectsDrift(t *testing.T) {
 
 	// Key drift: the drifted job errors immediately, the valid one
 	// runs.
-	jobs := svcJobs(2, 0)
-	req := SubmitRequest{Protocol: ProtocolVersion, Client: "c", Jobs: []remote.WireJob{
-		{Key: "sha256:0000", Job: jobs[0]},
-		{Key: engine.JobKey(jobs[1]).String(), Job: jobs[1]},
-	}}
+	req = newSubmitRequest("c", nil, svcJobs(2, 0))
+	req.Jobs[0].Key = "sha256:0000"
 	body, _ = json.Marshal(req)
 	resp, err = http.Post(srv.URL+SubmitPath, "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -683,8 +679,7 @@ func TestHugeL2JobIsAJobError(t *testing.T) {
 
 	huge := chipJobs(t, 1)[0]
 	huge.Chip.Mem.L2 = mem.CacheConfig{SizeBytes: 1 << 62, Ways: 1, LineBytes: 128}
-	req := SubmitRequest{Protocol: ProtocolVersion, Client: "c", Jobs: []remote.WireJob{{Key: engine.JobKey(huge).String(), Job: huge}}}
-	body, _ := json.Marshal(req)
+	body, _ := json.Marshal(newSubmitRequest("c", nil, []engine.Job{huge}))
 	resp, err := http.Post(srv.URL+SubmitPath, "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)

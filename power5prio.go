@@ -317,7 +317,7 @@ func WithBackend(b Backend) Option { return func(s *System) { s.backend = b } }
 
 // WithService routes the System's simulations through a p5d measurement
 // daemon at addr (host:port, or a full http:// URL) speaking the
-// p5queue/v4 protocol. The daemon is shared: it queues submissions from
+// p5queue/v5 protocol. The daemon is shared: it queues submissions from
 // many concurrent clients with per-client fair scheduling, deduplicates
 // identical in-flight jobs across clients, answers repeats from its own
 // cache tiers, and runs the rest on its worker fleet; jobs a failed
